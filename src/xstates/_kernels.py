@@ -1,236 +1,39 @@
-"""Hot numeric kernels: measured-conditional-entropy minimization and a
-cyclic Jacobi eigensolver.
-
-Both kernels exist in two flavours. The default decorates the scalar loops
-with numba's ``@njit``; setting the environment variable
-``XSTATES_DISABLE_NUMBA=1`` (or numba being unimportable) selects a pure
-numpy/Python path that computes the same quantities. `benchmarks/bench_oracle.py`
-compares the two.
-"""
+"""Hot numeric kernels: the measured conditional entropy with its
+minimisation over measurement angles, and a cyclic Jacobi eigensolver."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("XSTATES_DISABLE_NUMBA", "").strip().lower()
-    return flag not in {"1", "true", "yes", "on"}
-
-
-if _numba_wanted():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-
-def _jit(fn):
-    if NUMBA_ENABLED:
-        return _njit(cache=True)(fn)
-    return fn
-
-
-def backend() -> str:
-    """Name of the active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# scalar kernels (single source; compiled when numba is on)
-# ---------------------------------------------------------------------------
-
-
-def _binary_entropy(p):
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
-
-
-def _ce_point(a, b, c, d, zr, zi, wr, wi, theta, phi):
-    # Conditional entropy of qubit A after measuring qubit B in the basis
-    # |m0> = cos(theta)|0> + e^{i phi} sin(theta)|1> and its complement.
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    u = ct * ct
-    v = st * st
-    cp = math.cos(phi)
-    sp = math.sin(phi)
-    # off-diagonal of the conditioned qubit: (cos sin) * (e^{i phi} w + e^{-i phi} z)
-    orr = cp * (wr + zr) + sp * (zi - wi)
-    oii = sp * (wr - zr) + cp * (wi + zi)
-    o2 = (ct * st) * (ct * st) * (orr * orr + oii * oii)
-    total = 0.0
-    for k in range(2):
-        if k == 0:
-            uu = u
-            vv = v
-        else:
-            uu = v
-            vv = u
-        p = uu * (a + c) + vv * (b + d)
-        if p < 1e-14:
-            continue
-        x = uu * a + vv * b
-        y = uu * c + vv * d
-        disc = math.sqrt((x - y) * (x - y) + 4.0 * o2)
-        total += p * _binary_entropy(0.5 * (1.0 + disc / p))
-    return total
-
-
-def _refine_simplex(a, b, c, d, zr, zi, wr, wi, t0, p0, step_t, step_p, tol, max_iter):
-    # Deterministic Nelder-Mead on (theta, phi). The objective is smooth and
-    # periodic, so the simplex may wander out of the nominal parameter box.
-    ts = np.empty(3)
-    ps = np.empty(3)
-    fs = np.empty(3)
-    ts[0] = t0
-    ps[0] = p0
-    ts[1] = t0 + step_t
-    ps[1] = p0
-    ts[2] = t0
-    ps[2] = p0 + step_p
-    for i in range(3):
-        fs[i] = _ce_point(a, b, c, d, zr, zi, wr, wi, ts[i], ps[i])
-    it = 0
-    while it < max_iter:
-        it += 1
-        # order the three vertices
-        lo = 0
-        hi = 0
-        for i in range(1, 3):
-            if fs[i] < fs[lo]:
-                lo = i
-            if fs[i] > fs[hi]:
-                hi = i
-        if lo == hi:
-            break
-        mi = 3 - lo - hi
-        if fs[hi] - fs[lo] <= tol:
-            break
-        tc = 0.5 * (ts[lo] + ts[mi])
-        pc = 0.5 * (ps[lo] + ps[mi])
-        # reflection
-        tr = tc + (tc - ts[hi])
-        pr = pc + (pc - ps[hi])
-        fr = _ce_point(a, b, c, d, zr, zi, wr, wi, tr, pr)
-        if fr < fs[lo]:
-            te = tc + 2.0 * (tc - ts[hi])
-            pe = pc + 2.0 * (pc - ps[hi])
-            fe = _ce_point(a, b, c, d, zr, zi, wr, wi, te, pe)
-            if fe < fr:
-                ts[hi] = te
-                ps[hi] = pe
-                fs[hi] = fe
-            else:
-                ts[hi] = tr
-                ps[hi] = pr
-                fs[hi] = fr
-        elif fr < fs[mi]:
-            ts[hi] = tr
-            ps[hi] = pr
-            fs[hi] = fr
-        else:
-            if fr < fs[hi]:
-                tx = tc + 0.5 * (tc - ts[hi])
-                px = pc + 0.5 * (pc - ps[hi])
-            else:
-                tx = tc - 0.5 * (tc - ts[hi])
-                px = pc - 0.5 * (pc - ps[hi])
-            fx = _ce_point(a, b, c, d, zr, zi, wr, wi, tx, px)
-            if fx < min(fr, fs[hi]):
-                ts[hi] = tx
-                ps[hi] = px
-                fs[hi] = fx
-            else:
-                # shrink toward the best vertex
-                for i in range(3):
-                    if i == lo:
-                        continue
-                    ts[i] = ts[lo] + 0.5 * (ts[i] - ts[lo])
-                    ps[i] = ps[lo] + 0.5 * (ps[i] - ps[lo])
-                    fs[i] = _ce_point(a, b, c, d, zr, zi, wr, wi, ts[i], ps[i])
-    lo = 0
-    for i in range(1, 3):
-        if fs[i] < fs[lo]:
-            lo = i
-    return fs[lo], ts[lo], ps[lo], it
-
-
-def _min_ce_scalar(a, b, c, d, zr, zi, wr, wi, grid, restarts):
-    # exhaustive grid scan keeping the `restarts` best cells
-    bv = np.full(restarts, 1e300)
-    bt = np.zeros(restarts)
-    bp = np.zeros(restarts)
-    dth = 0.5 * math.pi / (grid - 1)
-    dph = 2.0 * math.pi / grid
-    for i in range(grid):
-        th = dth * i
-        for j in range(grid):
-            ph = dph * j
-            v = _ce_point(a, b, c, d, zr, zi, wr, wi, th, ph)
-            if v < bv[restarts - 1]:
-                k = restarts - 1
-                while k > 0 and bv[k - 1] > v:
-                    bv[k] = bv[k - 1]
-                    bt[k] = bt[k - 1]
-                    bp[k] = bp[k - 1]
-                    k -= 1
-                bv[k] = v
-                bt[k] = th
-                bp[k] = ph
-    best_v = bv[0]
-    best_t = bt[0]
-    best_p = bp[0]
-    total_it = 0
-    for r in range(restarts):
-        if bv[r] >= 1e300:
-            continue
-        fv, ft, fp, it = _refine_simplex(
-            a, b, c, d, zr, zi, wr, wi, bt[r], bp[r], 0.5 * dth, 0.5 * dph, 1e-12, 500
-        )
-        total_it += it
-        if fv < best_v:
-            best_v = fv
-            best_t = ft
-            best_p = fp
-    return best_v, best_t, best_p, total_it
-
-
-_binary_entropy = _jit(_binary_entropy)
-_ce_point = _jit(_ce_point)
-_refine_simplex = _jit(_refine_simplex)
-_min_ce_scalar = _jit(_min_ce_scalar)
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy grid scan (fallback path)
-# ---------------------------------------------------------------------------
+# scans of the nested theta search in min_conditional_entropy
+SCAN_LEVELS = 4
 
 
 def _xlog2(t):
     return np.where(t > 0.0, t * np.log2(np.maximum(t, 1e-300)), 0.0)
 
 
-def _ce_grid_numpy(a, b, c, d, zr, zi, wr, wi, theta, phi):
-    """Vectorized `_ce_point` over broadcastable angle arrays."""
+def conditional_entropy(a, b, c, d, zr, zi, wr, wi, theta, phi):
+    """Measured conditional entropy (bits) of qubit A after measuring qubit
+    B in the basis |m0> = cos(theta)|0> + e^{i phi} sin(theta)|1> and its
+    complement.
+
+    Vectorised over broadcastable parameter and angle arrays. Outcomes with
+    probability below 1e-14 contribute nothing.
+    """
     ct = np.cos(theta)
     st = np.sin(theta)
     u = ct * ct
     v = st * st
     cp = np.cos(phi)
     sp = np.sin(phi)
+    # off-diagonal of the conditioned qubit: (cos sin) * (e^{i phi} w + e^{-i phi} z)
     orr = cp * (wr + zr) + sp * (zi - wi)
     oii = sp * (wr - zr) + cp * (wi + zi)
     o2 = (ct * st) ** 2 * (orr * orr + oii * oii)
-    total = np.zeros(np.broadcast(theta, phi).shape)
+    total = 0.0
     for uu, vv in ((u, v), (v, u)):
         p = uu * (a + c) + vv * (b + d)
         x = uu * a + vv * b
@@ -238,59 +41,45 @@ def _ce_grid_numpy(a, b, c, d, zr, zi, wr, wi, theta, phi):
         disc = np.sqrt((x - y) ** 2 + 4.0 * o2)
         lam = 0.5 * (1.0 + disc / np.maximum(p, 1e-300))
         h = -(_xlog2(lam) + _xlog2(1.0 - lam))
-        total += np.where(p < 1e-14, 0.0, p * h)
+        total = total + np.where(p < 1e-14, 0.0, p * h)
     return total
 
 
-def _min_ce_numpy(a, b, c, d, zr, zi, wr, wi, grid, restarts):
-    th = np.linspace(0.0, 0.5 * math.pi, grid)
-    ph = np.arange(grid) * (2.0 * math.pi / grid)
-    vals = _ce_grid_numpy(a, b, c, d, zr, zi, wr, wi, th[:, None], ph[None, :])
-    flat = vals.ravel()
-    k = min(restarts, flat.size)
-    idx = np.argpartition(flat, k - 1)[:k]
-    idx = idx[np.argsort(flat[idx], kind="stable")]
-    dth = 0.5 * math.pi / (grid - 1)
-    dph = 2.0 * math.pi / grid
-    best_v = float(flat[idx[0]])
-    best_t = float(th[idx[0] // grid])
-    best_p = float(ph[idx[0] % grid])
-    total_it = 0
-    for j in idx:
-        fv, ft, fp, it = _refine_simplex(
-            a, b, c, d, zr, zi, wr, wi,
-            float(th[j // grid]), float(ph[j % grid]),
-            0.5 * dth, 0.5 * dph, 1e-12, 500,
-        )
-        total_it += it
-        if fv < best_v:
-            best_v = fv
-            best_t = ft
-            best_p = fp
-    return best_v, best_t, best_p, total_it
+def min_conditional_entropy(a, b, c, d, z, w, grid=64):
+    """Minimum of the measured conditional entropy of phase-normalised
+    states, where ``a, b, c, d`` and the real, non-negative coherences
+    ``z, w`` are arrays of shape ``(n,)``.
 
-
-def conditional_entropy_point(a, b, c, d, zr, zi, wr, wi, theta, phi) -> float:
-    """Measured conditional entropy at one measurement basis (bits)."""
-    return float(_ce_point(a, b, c, d, zr, zi, wr, wi, theta, phi))
-
-
-def min_conditional_entropy(a, b, c, d, zr, zi, wr, wi, grid=64, restarts=3):
-    """Global minimum of the measured conditional entropy over (theta, phi).
-
-    Exhaustive scan over a ``grid x grid`` mesh of
-    [0, pi/2] x [0, 2 pi), then simplex refinement from the best cells.
-    Returns ``(value, theta, phi, refinement_iterations)``.
+    For such states the minimum over phi lies at phi = 0, and the entropy is
+    symmetric under theta -> pi/2 - theta, so only theta in [0, pi/4] is
+    searched: a scan of ``grid`` evenly spaced angles, then
+    ``SCAN_LEVELS - 1`` scans of ``grid`` angles across the bracket of
+    neighbouring angles around the best one so far. Returns the minima and
+    their angles theta, both of shape ``(n,)``.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if NUMBA_ENABLED:
-        v, t, p, it = _min_ce_scalar(a, b, c, d, zr, zi, wr, wi, grid, restarts)
-    else:
-        v, t, p, it = _min_ce_numpy(a, b, c, d, zr, zi, wr, wi, grid, restarts)
-    return float(v), float(t), float(p), int(it)
+    a, b, c, d, z, w = (np.asarray(p, dtype=float)[:, None] for p in (a, b, c, d, z, w))
+    rows = np.arange(a.shape[0])
+    frac = np.linspace(0.0, 1.0, grid)
+    lo = np.zeros_like(a)
+    width = np.full_like(a, 0.25 * math.pi)
+    best_v = np.full(a.shape[0], np.inf)
+    best_t = np.zeros(a.shape[0])
+    for _ in range(SCAN_LEVELS):
+        theta = lo + width * frac
+        vals = conditional_entropy(a, b, c, d, z, 0.0, w, 0.0, theta, 0.0)
+        k = np.argmin(vals, axis=1)
+        level_v = vals[rows, k]
+        # keep the best so far: an even grid skips the bracket's centre
+        better = level_v < best_v
+        best_v = np.where(better, level_v, best_v)
+        best_t = np.where(better, theta[rows, k], best_t)
+        step = width[:, 0] / (grid - 1)
+        new_lo = np.maximum(best_t - step, 0.0)
+        width = (np.minimum(best_t + step, 0.25 * math.pi) - new_lo)[:, None]
+        lo = new_lo[:, None]
+    return best_v, best_t
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +145,6 @@ def _jacobi_run(A, tol, max_sweeps):
     for i in range(n):
         evals[i] = H[i, i].real
     return evals, V, sweeps
-
-
-_jacobi_cycle = _jit(_jacobi_cycle)
-_jacobi_offnorm = _jit(_jacobi_offnorm)
-_jacobi_run = _jit(_jacobi_run)
 
 
 def jacobi_eigh(A: np.ndarray, tol_scale: float = 1e-13, max_sweeps: int = 60):

@@ -204,6 +204,19 @@ def _cmd_check(args) -> int:
     return EXIT_NOT_PRESERVING_VERDICT
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xstates",
@@ -224,16 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_measures)
 
     p = sub.add_parser("gen", help="write a corpus of random X states")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("validate-approx",
                        help="approximate-discord error statistics vs the oracle")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=_int_at_least(2), default=64)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_validate_approx)
 

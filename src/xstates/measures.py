@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import FanoParams, XState, normalize_phases, to_fano
 from .errors import NotMMM, UnnormalizedPhases
-from .spectral import _entropy_bits, eigendecompose, entropy, hermitian_eigen, purity
+from .spectral import _entropy_bits, eigendecompose, entropy, purity
 
 SCHMIDT_THRESHOLD = 1e-10
 MMM_TOL = 1e-10
@@ -103,7 +103,8 @@ def geometric_discord_fano(
     """Geometric discord evaluated directly on correlation coordinates.
 
     ``variant="general"`` uses the eigenvalue construction
-    (x.x + tr T T^t - k_max)/4 with k_max from :func:`hermitian_eigen`;
+    (x.x + tr T T^t - k_max)/4, where k_max is the largest eigenvalue of
+    the diagonal matrix diag(C1^2, C2^2, C3^2 + X3^2);
     ``variant="paper"`` evaluates the printed two-branch minimum
     min{C1^2 + C2^2, C1^2 + C3^2 + X3^2}/4, which disagrees with the
     eigenvalue construction on part of the parameter space (see tests).
@@ -118,8 +119,7 @@ def geometric_discord_fano(
         )
     if variant != "general":
         raise ValueError(f"variant must be 'general' or 'paper', got {variant!r}")
-    k = np.diag([f.C1 * f.C1, f.C2 * f.C2, f.C3 * f.C3 + x3 * x3]).astype(complex)
-    k_max = hermitian_eigen(k)[0][0]
+    k_max = max(f.C1 * f.C1, f.C2 * f.C2, f.C3 * f.C3 + x3 * x3)
     total = x3 * x3 + f.C1 * f.C1 + f.C2 * f.C2 + f.C3 * f.C3
     return 0.25 * max(total - k_max, 0.0)
 

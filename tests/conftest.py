@@ -60,6 +60,48 @@ def dense_schmidt_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(gamma, compute_uv=False)
 
 
+def _xlog2(t):
+    return np.where(t > 0.0, t * np.log2(np.where(t > 0.0, t, 1.0)), 0.0)
+
+
+def dense_conditional_entropy(m: np.ndarray, theta, phi):
+    """Measured conditional entropy of qubit A after measuring qubit B of
+    the dense state ``m`` in the basis cos(theta)|0> + e^{i phi} sin(theta)|1>
+    and its complement, for broadcastable angle arrays: explicit
+    projections and batched ``eigvalsh``."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    ct, st, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
+    # isometries I (x) |m_k>, k = 0, 1, shaped (..., k, 4, 2)
+    iso = np.zeros(theta.shape + (2, 4, 2), dtype=complex)
+    for k, vec in enumerate(((ct, st * e), (-st * e.conj(), ct))):
+        for bit, amp in enumerate(vec):
+            iso[..., k, bit, 0] = amp
+            iso[..., k, 2 + bit, 1] = amp
+    sigma = iso.conj().swapaxes(-1, -2) @ m @ iso  # unnormalised conditioned states
+    ev = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)
+    # p H(ev / p) with p = sum(ev), summed over the outcomes
+    return (_xlog2(ev.sum(-1)) - _xlog2(ev).sum(-1)).sum(-1)
+
+
+def brute_force_min_conditional_entropy(x) -> float:
+    """Minimum of :func:`dense_conditional_entropy` over both angles: a
+    32 x 32 mesh of [0, pi/2] x [0, 2 pi), then Nelder-Mead from the two
+    best cells."""
+    from scipy.optimize import minimize
+
+    m = x.to_matrix()
+    th, ph = np.meshgrid(np.linspace(0.0, np.pi / 2, 32),
+                         np.linspace(0.0, 2 * np.pi, 32, endpoint=False), indexing="ij")
+    vals = dense_conditional_entropy(m, th, ph)
+    best = float(vals.min())
+    for k in np.argsort(vals, axis=None)[:2]:
+        res = minimize(lambda p: float(dense_conditional_entropy(m, p[0], p[1])),
+                       [th.flat[k], ph.flat[k]], method="Nelder-Mead",
+                       options={"xatol": 1e-6, "fatol": 1e-13, "maxiter": 2000})
+        best = min(best, float(res.fun))
+    return best
+
+
 def haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(g)

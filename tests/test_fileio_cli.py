@@ -147,6 +147,14 @@ class TestGenCommand:
         measured = sum(1 for s in states if xs.concurrence(s) > 0) / 100
         assert manifest["frac_entangled"] == pytest.approx(measured)
 
+    def test_zero_states_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", "--n", "0", "--out", str(out))
+        assert exc.value.code == 2
+        assert "argument --n: must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidateApproxCommand:
     def test_small_campaign(self, tmp_path):
@@ -160,6 +168,18 @@ class TestValidateApproxCommand:
         assert run_cli("validate-approx", "--n", "100", "--seed", "1",
                        "--grid", "48", "--out", str(rerun)) == 0
         assert out.read_bytes() == rerun.read_bytes()
+
+    @pytest.mark.parametrize("n, grid, message", [
+        ("0", "64", "argument --n: must be >= 1, got 0"),
+        ("10", "1", "argument --grid: must be >= 2, got 1"),
+    ])
+    def test_out_of_range_exits_2(self, tmp_path, capsys, n, grid, message):
+        out = tmp_path / "stats.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("validate-approx", "--n", n, "--grid", grid, "--out", str(out))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvolveCommand:

@@ -5,11 +5,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xstates as xs
 from xstates.oracle import CAMPAIGN_THRESHOLDS, MeasurementBasis
-from conftest import random_states
+from conftest import brute_force_min_conditional_entropy, random_states
 from test_measures import WERNER_HALF_DISCORD, werner_discord
+
+HARD_INTERIOR = xs.validate(
+    0.8436606148068005, 0.05924944035589033,
+    0.010118788096960044, 0.08697115674034903,
+    z=0.023585058477367974, w=0.20574278137330584,
+)
+
+
+@st.composite
+def phase_normalized_states(draw):
+    """Populations on the simplex, real non-negative coherences as
+    fractions of their positivity bounds."""
+    pops = [draw(st.floats(0.0, 1.0)) for _ in range(4)]
+    total = sum(pops)
+    if total < 1e-3:
+        pops, total = [1.0, 1.0, 1.0, 1.0], 4.0
+    a, b, c, d = (p / total for p in pops)
+    fz, fw = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    return xs.validate(a, b, c, d, z=fz * math.sqrt(b * c), w=fw * math.sqrt(a * d))
+
+
+ANGLE_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 class TestMeasurementBasis:
@@ -121,16 +145,12 @@ class TestDiscordOracle:
     def test_interior_optimum_found(self):
         # at these parameters the best measurement sits strictly between
         # the two candidate angles; the scan must catch the gap
-        x = xs.validate(
-            0.8436606148068005, 0.05924944035589033,
-            0.010118788096960044, 0.08697115674034903,
-            z=0.023585058477367974, w=0.20574278137330584,
-        )
-        r = xs.approx_discord(x)
-        res = xs.discord_oracle(x)
+        r = xs.approx_discord(HARD_INTERIOR)
+        res = xs.discord_oracle(HARD_INTERIOR)
         gap = min(r.n1, r.n2) - res.min_conditional_entropy
         assert gap > 1e-4
-        assert 0.0 < res.theta < math.pi / 2
+        assert 0.0 < res.theta < math.pi / 4
+        assert res.phi == 0.0
 
     def test_phase_invariance(self):
         for x in random_states(20, seed=43, complex_phases=True):
@@ -142,12 +162,7 @@ class TestDiscordOracle:
         # third route: scipy's annealer on the same objective
         from scipy.optimize import dual_annealing
 
-        hard = xs.validate(
-            0.8436606148068005, 0.05924944035589033,
-            0.010118788096960044, 0.08697115674034903,
-            z=0.023585058477367974, w=0.20574278137330584,
-        )
-        for x in random_states(8, seed=47) + [hard, xs.werner(0.7)]:
+        for x in random_states(8, seed=47) + [HARD_INTERIOR, xs.werner(0.7)]:
             res = xs.discord_oracle(x)
 
             def objective(p, state=x):
@@ -159,6 +174,34 @@ class TestDiscordOracle:
             )
             assert res.min_conditional_entropy <= annealed.fun + 1e-9
             assert res.min_conditional_entropy >= annealed.fun - 1e-7
+
+    def test_matches_brute_force_2d_reference(self):
+        # the one-angle search is exact: never above the two-angle dense
+        # reference, and below it only by the reference's own inaccuracy
+        for x in random_states(200, seed=53) + [HARD_INTERIOR]:
+            ref = brute_force_min_conditional_entropy(x)
+            got = xs.discord_oracle(x).min_conditional_entropy
+            assert ref - 1e-9 <= got <= ref + 1e-12
+
+
+class TestOneAngleReduction:
+    """The two facts that reduce the oracle's search to theta in [0, pi/4]
+    at phi = 0, on phase-normalised states."""
+
+    @ANGLE_PROPERTY
+    @given(phase_normalized_states(), st.floats(0.0, math.pi / 2),
+           st.floats(0.0, 2 * math.pi))
+    def test_phase_zero_is_optimal(self, x, theta, phi):
+        at_phi = xs.conditional_entropy(x, MeasurementBasis(theta, phi))
+        at_zero = xs.conditional_entropy(x, MeasurementBasis(theta, 0.0))
+        assert at_phi >= at_zero - 1e-12
+
+    @ANGLE_PROPERTY
+    @given(phase_normalized_states(), st.floats(0.0, math.pi / 2))
+    def test_mirror_symmetric_in_theta(self, x, theta):
+        ce = xs.conditional_entropy(x, MeasurementBasis(theta, 0.0))
+        mirrored = xs.conditional_entropy(x, MeasurementBasis(math.pi / 2 - theta, 0.0))
+        assert ce == pytest.approx(mirrored, abs=1e-12)
 
 
 class TestClassicalCorrelation:
@@ -206,6 +249,12 @@ class TestCampaign:
         s1 = xs.approx_error_campaign(50, seed=9)
         s2 = xs.approx_error_campaign(50, seed=9)
         assert s1 == s2
+
+    def test_progress_every_thousand_states(self):
+        done = []
+        stats = xs.approx_error_campaign(2500, seed=3, progress=done.append)
+        assert done == [1000, 2000]
+        assert stats.n == 2500
 
     def test_thresholds_fixed(self):
         assert CAMPAIGN_THRESHOLDS == (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)

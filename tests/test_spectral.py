@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import xstates as xs
+from xstates import _kernels
 from xstates.errors import NotHermitian
 from conftest import dense_entropy, dense_partial_transpose, random_states
 
@@ -178,6 +179,15 @@ class TestHermitianEigen:
         assert np.abs((vecs * vals) @ vecs.conj().T - h).max() < 1e-10
         assert np.abs(vecs.conj().T @ vecs - np.eye(15)).max() < 1e-10
         assert np.abs(np.sort(vals) - np.linalg.eigvalsh(h)).max() < 1e-10
+
+    def test_jacobi_matches_numpy_eigh(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 4, 8, 15):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = 0.5 * (g + g.conj().T)
+            vals, vecs = _kernels.jacobi_eigh(h)
+            assert np.abs(np.sort(vals) - np.linalg.eigvalsh(h)).max() < 1e-10
+            assert np.abs((vecs * vals) @ vecs.conj().T - h).max() < 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
