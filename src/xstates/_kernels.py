@@ -7,12 +7,15 @@ import math
 
 import numpy as np
 
-# scans of the nested theta search in min_conditional_entropy
-SCAN_LEVELS = 4
-
-
-def _xlog2(t):
-    return np.where(t > 0.0, t * np.log2(np.maximum(t, 1e-300)), 0.0)
+# angles of each refinement scan in min_conditional_entropy; each one
+# narrows the angle spacing (REFINE_POINTS - 1) / 2 = 20-fold
+REFINE_POINTS = 41
+# the search stops once the angle spacing is this fine: below the square
+# root of the double epsilon the entropy is flat to rounding around a minimum
+THETA_TOL = 1e-8
+_REFINE_FRAC = np.linspace(0.0, 1.0, REFINE_POINTS)
+# outcome signs: axis 0 of an evaluation holds the outcomes |m0>, |m1>
+_OUTCOMES = np.array([1.0, -1.0])
 
 
 def conditional_entropy(a, b, c, d, zr, zi, wr, wi, theta, phi):
@@ -23,26 +26,46 @@ def conditional_entropy(a, b, c, d, zr, zi, wr, wi, theta, phi):
     Vectorised over broadcastable parameter and angle arrays. Outcomes with
     probability below 1e-14 contribute nothing.
     """
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    u = ct * ct
-    v = st * st
     cp = np.cos(phi)
     sp = np.sin(phi)
-    # off-diagonal of the conditioned qubit: (cos sin) * (e^{i phi} w + e^{-i phi} z)
-    orr = cp * (wr + zr) + sp * (zi - wi)
-    oii = sp * (wr - zr) + cp * (wi + zi)
-    o2 = (ct * st) ** 2 * (orr * orr + oii * oii)
-    total = 0.0
-    for uu, vv in ((u, v), (v, u)):
-        p = uu * (a + c) + vv * (b + d)
-        x = uu * a + vv * b
-        y = uu * c + vv * d
-        disc = np.sqrt((x - y) ** 2 + 4.0 * o2)
-        lam = 0.5 * (1.0 + disc / np.maximum(p, 1e-300))
-        h = -(_xlog2(lam) + _xlog2(1.0 - lam))
-        total = total + np.where(p < 1e-14, 0.0, p * h)
-    return total
+    # |e^{i phi} w + e^{-i phi} z|^2, the coherence both outcomes leave on A
+    oo = (cp * (wr + zr) + sp * (zi - wi)) ** 2 + (sp * (wr - zr) + cp * (wi + zi)) ** 2
+    return _conditional_entropy_sums(*_sums(a, b, c, d, oo), theta)
+
+
+def _sums(a, b, c, d, oo):
+    return a + b + c + d, a + c - b - d, a - c + b - d, a - c - b + d, 4.0 * oo
+
+
+def _conditional_entropy_sums(t, dd, e, f, q, theta):
+    """:func:`conditional_entropy` from the state's sums ``t = a+b+c+d``,
+    ``dd = a+c-b-d``, ``e = a-c+b-d``, ``f = a-c-b+d`` and
+    ``q = 4 |e^{i phi} w + e^{-i phi} z|^2`` (see :func:`_sums`).
+
+    Outcome k has probability p = (t +- cos(2 theta) dd) / 2 and leaves A
+    with the larger eigenvalue
+    1/2 + sqrt((e +- cos(2 theta) f)^2 + q sin^2(2 theta)) / (4 p).
+    """
+    c2 = np.multiply.outer(_OUTCOMES, np.cos(2.0 * theta))
+    s2 = np.sin(2.0 * theta)
+    pp = t + c2 * dd  # twice the outcome probabilities
+    n = e + c2 * f
+    lam = np.minimum(0.5 + 0.5 * np.sqrt(n * n + q * (s2 * s2)) / np.maximum(pp, 1e-300), 1.0)
+    rest = 1.0 - lam
+    h = -(lam * np.log2(lam) + rest * np.log2(np.maximum(rest, 1e-300)))
+    return 0.5 * np.where(pp < 2e-14, 0.0, pp * h).sum(axis=0)
+
+
+def scan_levels(grid: int) -> int:
+    """Number of scans :func:`min_conditional_entropy` makes at ``grid``."""
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
+    step = 0.25 * math.pi / (grid - 1)
+    levels = 1
+    while step > THETA_TOL:
+        step *= 2.0 / (REFINE_POINTS - 1)
+        levels += 1
+    return levels
 
 
 def min_conditional_entropy(a, b, c, d, z, w, grid=64):
@@ -52,33 +75,37 @@ def min_conditional_entropy(a, b, c, d, z, w, grid=64):
 
     For such states the minimum over phi lies at phi = 0, and the entropy is
     symmetric under theta -> pi/2 - theta, so only theta in [0, pi/4] is
-    searched: a scan of ``grid`` evenly spaced angles, then
-    ``SCAN_LEVELS - 1`` scans of ``grid`` angles across the bracket of
-    neighbouring angles around the best one so far. Returns the minima and
-    their angles theta, both of shape ``(n,)``.
+    searched: a scan of ``grid`` evenly spaced angles, then scans of
+    ``REFINE_POINTS`` angles across the bracket of neighbouring angles
+    around the best one so far, until the spacing is below ``THETA_TOL``
+    (:func:`scan_levels` scans in all). ``grid`` thus sets which basin the
+    search settles in, not how precisely it resolves it. Returns the minima
+    and their angles theta, both of shape ``(n,)``.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    levels = scan_levels(grid)
     a, b, c, d, z, w = (np.asarray(p, dtype=float)[:, None] for p in (a, b, c, d, z, w))
+    # conditional_entropy at phi = 0, where the coherence term is (z + w)^2
+    sums = _sums(a, b, c, d, (z + w) ** 2)
     rows = np.arange(a.shape[0])
-    frac = np.linspace(0.0, 1.0, grid)
     lo = np.zeros_like(a)
     width = np.full_like(a, 0.25 * math.pi)
     best_v = np.full(a.shape[0], np.inf)
     best_t = np.zeros(a.shape[0])
-    for _ in range(SCAN_LEVELS):
+    frac = np.linspace(0.0, 1.0, grid)
+    for _ in range(levels):
         theta = lo + width * frac
-        vals = conditional_entropy(a, b, c, d, z, 0.0, w, 0.0, theta, 0.0)
+        vals = _conditional_entropy_sums(*sums, theta)
         k = np.argmin(vals, axis=1)
         level_v = vals[rows, k]
-        # keep the best so far: an even grid skips the bracket's centre
+        # keep the best so far: a rescan may miss the bracket's centre
         better = level_v < best_v
         best_v = np.where(better, level_v, best_v)
         best_t = np.where(better, theta[rows, k], best_t)
-        step = width[:, 0] / (grid - 1)
+        step = width[:, 0] / (frac.size - 1)
         new_lo = np.maximum(best_t - step, 0.0)
         width = (np.minimum(best_t + step, 0.25 * math.pi) - new_lo)[:, None]
         lo = new_lo[:, None]
+        frac = _REFINE_FRAC
     return best_v, best_t
 
 

@@ -39,7 +39,7 @@ class OracleResult:
     """Outcome of one conditional-entropy minimization. ``theta`` and
     ``phi`` give the optimal basis for the phase-normalised state, so
     ``phi`` is 0.0; ``refinement_iterations`` counts the scans of the
-    search."""
+    search, :func:`_kernels.scan_levels` of ``grid``."""
 
     q_min: float
     theta: float
@@ -86,7 +86,7 @@ def _oracle_batch(states, side: str, grid: int) -> list:
             theta=th,
             phi=0.0,
             grid=grid,
-            refinement_iterations=_kernels.SCAN_LEVELS,
+            refinement_iterations=_kernels.scan_levels(grid),
             min_conditional_entropy=ce,
             classical_correlation=s_other - ce,
             mutual_information=s_other + s_measured - s_full,

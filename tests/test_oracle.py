@@ -130,6 +130,31 @@ class TestDiscordOracle:
             assert q64 <= q32 + 1e-10
             assert q128 <= q64 + 1e-10
 
+    @pytest.mark.parametrize("grid", [2, 3, 8])
+    def test_precision_independent_of_grid(self, grid):
+        # the grid only seeds the search; the rescans run to a fixed spacing
+        for x in random_states(30, seed=31) + [HARD_INTERIOR]:
+            coarse = xs.discord_oracle(x, grid=grid)
+            fine = xs.discord_oracle(x, grid=64)
+            assert coarse.q_min == pytest.approx(fine.q_min, abs=1e-12)
+            assert coarse.refinement_iterations >= fine.refinement_iterations
+
+    @pytest.mark.parametrize("grid", [2, 64])
+    def test_interior_minimum_resolved_to_rounding(self, grid):
+        # Brent's method to 1e-12 rad around the oracle's angle, on the same
+        # objective: the scan's fixed final spacing must leave nothing to gain
+        from scipy.optimize import minimize_scalar
+
+        res = xs.discord_oracle(HARD_INTERIOR, grid=grid)
+
+        def objective(theta):
+            return xs.conditional_entropy(HARD_INTERIOR, MeasurementBasis(theta, 0.0))
+
+        brent = minimize_scalar(objective, method="bounded",
+                                bounds=(res.theta - 1e-3, res.theta + 1e-3),
+                                options={"xatol": 1e-12})
+        assert res.min_conditional_entropy <= brent.fun + 4e-15
+
     def test_min_never_beats_candidate_entropies(self, corpus_small):
         for x in corpus_small[:100]:
             r = xs.approx_discord(x)
