@@ -1,5 +1,5 @@
 """Hot numeric kernels: the measured conditional entropy with its
-minimisation over measurement angles, and a cyclic Jacobi eigensolver."""
+minimisation over measurement angles, and the matrix exponential."""
 
 from __future__ import annotations
 
@@ -110,79 +110,42 @@ def min_conditional_entropy(a, b, c, d, z, w, grid=64):
 
 
 # ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver for small Hermitian matrices
+# matrix exponential for the exact propagators in dynamics
 # ---------------------------------------------------------------------------
 
-
-def _jacobi_cycle(H, V, n):
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            hpq = H[p, q]
-            mag = abs(hpq)
-            if mag < 1e-300:
-                continue
-            f = hpq / mag  # e^{i arg}
-            app = H[p, p].real
-            aqq = H[q, q].real
-            tau = (aqq - app) / (2.0 * mag)
-            if tau >= 0.0:
-                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-            cc = 1.0 / math.sqrt(1.0 + t * t)
-            ss = t * cc
-            # columns: H <- H J with J = [[c, s], [-conj(f) s, conj(f) c]]
-            for k in range(n):
-                hkp = H[k, p]
-                hkq = H[k, q]
-                H[k, p] = cc * hkp - np.conj(f) * ss * hkq
-                H[k, q] = ss * hkp + np.conj(f) * cc * hkq
-            # rows: H <- J^dag H
-            for k in range(n):
-                hpk = H[p, k]
-                hqk = H[q, k]
-                H[p, k] = cc * hpk - f * ss * hqk
-                H[q, k] = ss * hpk + f * cc * hqk
-            for k in range(n):
-                vkp = V[k, p]
-                vkq = V[k, q]
-                V[k, p] = cc * vkp - np.conj(f) * ss * vkq
-                V[k, q] = ss * vkp + np.conj(f) * cc * vkq
+# [13/13] Pade approximant of exp (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 1179 (2005)): numerator coefficients b_k (the denominator's are
+# (-1)^k b_k), and the 1-norm up to which its backward error is below
+# double rounding
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+EXPM_THETA = 5.371920351148152
 
 
-def _jacobi_offnorm(H, n):
-    s = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            s += (H[i, j].real * H[i, j].real + H[i, j].imag * H[i, j].imag)
-    return math.sqrt(2.0 * s)
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a square matrix by scaling and squaring.
 
-
-def _jacobi_run(A, tol, max_sweeps):
-    n = A.shape[0]
-    H = A.copy()
-    V = np.eye(n, dtype=np.complex128)
-    sweeps = 0
-    while sweeps < max_sweeps:
-        if _jacobi_offnorm(H, n) < tol:
-            break
-        _jacobi_cycle(H, V, n)
-        sweeps += 1
-    evals = np.empty(n)
-    for i in range(n):
-        evals[i] = H[i, i].real
-    return evals, V, sweeps
-
-
-def jacobi_eigh(A: np.ndarray, tol_scale: float = 1e-13, max_sweeps: int = 60):
-    """Eigenvalues (descending) and column eigenvectors of Hermitian ``A``.
-
-    Cyclic-by-rows Jacobi rotations, iterated until the off-diagonal
-    Frobenius norm drops below ``tol_scale * max(1, ||A||_F)``.
+    ``a`` is divided by 2^s so that its 1-norm is at most ``EXPM_THETA``,
+    exponentiated with the [13/13] Pade approximant and squared s times.
+    Defective matrices need no special treatment.
     """
-    A = np.ascontiguousarray(A, dtype=np.complex128)
-    norm = float(np.linalg.norm(A))
-    tol = tol_scale * max(1.0, norm)
-    evals, vecs, _ = _jacobi_run(A, tol, max_sweeps)
-    order = np.argsort(-evals, kind="stable")
-    return evals[order], vecs[:, order]
+    a = np.asarray(a, dtype=np.complex128)
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = math.ceil(math.log2(norm / EXPM_THETA)) if norm > EXPM_THETA else 0
+    a = a * 0.5**squarings
+    b = _PADE13
+    ident = np.eye(a.shape[0], dtype=np.complex128)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        out = out @ out
+    return out

@@ -8,7 +8,7 @@ generator file).
 
 Exit codes: 0 success (for ``check``: preserving), 1 ``check`` verdict not
 preserving, 2 parse/validation error, 3 I/O error, 4 generator not
-preserving, 5 integration step rejected.
+preserving, 5 sampled step rejected (trace drift or leakage).
 
 Every file-producing run writes ``<out>.manifest.json`` beside its output,
 also on failure; re-running with the same arguments reproduces the outputs
@@ -84,8 +84,7 @@ def _cmd_measures(args) -> int:
         fileio.save_report(args.out, rep, fmt=args.format)
         _write_manifest(
             args.out,
-            _manifest(args, "measures", [args.out], started,
-                      extra={"side": args.side, "gd_variant": args.gd_variant}),
+            _manifest(args, "measures", [args.out], started, extra={"side": args.side}),
         )
     else:
         sys.stdout.write(
@@ -232,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--side", choices=("A", "B"), default="B",
                    help="measured subsystem for the discord family")
-    p.add_argument("--gd-variant", choices=("general", "paper"), default="general",
-                   help="recorded in the manifest; reports carry both variants")
     p.set_defaults(func=_cmd_measures)
 
     p = sub.add_parser("gen", help="write a corpus of random X states")
@@ -250,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_validate_approx)
 
-    p = sub.add_parser("evolve", help="integrate a master equation to a trajectory CSV")
+    p = sub.add_parser("evolve", help="propagate a master equation to a trajectory CSV")
     p.add_argument("--in", dest="infile", required=True, help="dynamics config (JSON)")
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.set_defaults(func=_cmd_evolve)

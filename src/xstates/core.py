@@ -17,6 +17,7 @@ from .errors import (
     NotPositive,
     NotXShaped,
     TraceError,
+    ValidationError,
 )
 
 TRACE_TOL = 1e-12
@@ -136,10 +137,14 @@ def validate(a, b, c, d, z=0j, w=0j) -> XState:
 
     Values within tolerance of the feasible set are clamped to its boundary;
     anything farther out raises :class:`TraceError`,
-    :class:`NegativePopulation`, or :class:`CoherenceBoundViolated`.
+    :class:`NegativePopulation`, or :class:`CoherenceBoundViolated`, and a
+    NaN or infinite value raises :class:`ValidationError`.
     """
     a, b, c, d = float(a), float(b), float(c), float(d)
     z, w = complex(z), complex(w)
+    # a NaN or an infinity anywhere makes this sum NaN or infinite
+    if not math.isfinite(a + b + c + d + abs(z) + abs(w)):
+        raise ValidationError(f"parameters must be finite, got {(a, b, c, d, z, w)}")
     total = a + b + c + d
     if abs(total - 1.0) > TRACE_TOL:
         raise TraceError(f"populations sum to {total!r}, not 1")
@@ -181,11 +186,14 @@ def from_matrix(m: np.ndarray) -> XState:
 
     Succeeds only if every off-pattern entry is below
     ``1e-10 * ||m||_F``; otherwise raises :class:`NotXShaped` reporting the
-    worst offender. Positivity failures raise :class:`NotPositive`.
+    worst offender. Positivity failures raise :class:`NotPositive`, and
+    non-finite entries :class:`ValidationError`.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has non-finite entries")
     herm = np.abs(m - m.conj().T).max()
     if herm > 1e-12:
         raise NotHermitian(f"matrix deviates from Hermiticity by {herm:.3g}")

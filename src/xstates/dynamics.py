@@ -1,6 +1,14 @@
-"""X-pattern grading of operators, preservation verdicts for Hamiltonians,
-Lindblad generators and Kraus channels, channel application, and an RK4
-integrator for pattern-preserving master equations."""
+"""X-pattern grading of operators, pattern preservation for Hamiltonians,
+Lindblad generators and Kraus channels, channel application, and exact
+propagation of pattern-preserving master equations.
+
+Every map is written as a 16x16 superoperator on row-major
+vec(rho) = rho.reshape(16), for which vec(A rho B) = (A (x) B^T) vec(rho)
+(Havel, J. Math. Phys. 44, 534 (2003)). One rule decides preservation: the
+block of that matrix from X-pattern to off-pattern entries must vanish.
+The Liouvillian exponentiated, expm(L t), propagates the master equation in
+:func:`evolve`, :func:`esd_time` and :func:`propagate`.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import measures, spectral
+from . import _kernels, measures, spectral
 from .core import X_PATTERN, XState, from_matrix
 from .errors import (
     CompletenessViolated,
@@ -24,7 +32,9 @@ from .errors import (
 )
 
 GRADE_RTOL = 1e-12
-COUPLING_TOL = 1e-12
+# a superoperator preserves the X pattern when its off-X <- X block is
+# below this fraction of its Frobenius norm
+PRESERVE_RTOL = 1e-12
 
 SIGMA = (
     np.eye(2, dtype=np.complex128),
@@ -37,11 +47,20 @@ PAULI_LABELS = "IXYZ"
 X_MASK = np.zeros((4, 4), dtype=bool)
 for _pos in X_PATTERN:
     X_MASK[_pos] = True
+X_VEC = X_MASK.reshape(16)  # the X pattern in vec(rho) coordinates
+_I4 = np.eye(4, dtype=np.complex128)
 
 
 def pauli_tensor(mu: int, nu: int) -> np.ndarray:
     """sigma_mu (x) sigma_nu with index order (I, X, Y, Z)."""
     return np.kron(SIGMA[mu], SIGMA[nu])
+
+
+# the 16 two-qubit Pauli strings in (mu, nu) order, as vec(P) rows, and
+# which of them lie on the X pattern
+PAULI_STRINGS = tuple(p + q for p in PAULI_LABELS for q in PAULI_LABELS)
+_PAULI_VECS = np.array([pauli_tensor(mu, nu).reshape(16) for mu in range(4) for nu in range(4)])
+_X_PAULI = ~(_PAULI_VECS[:, ~X_VEC] != 0).any(axis=1)
 
 
 def pauli_string_matrix(label: str) -> np.ndarray:
@@ -63,8 +82,8 @@ class GradedOperator:
     """A 4x4 operator split into its X-pattern and off-pattern parts.
 
     The two support patterns multiply like a Z2 grading: X.X = X,
-    X.off = off, off.off = X, which is what makes the preservation
-    verdicts below exact.
+    X.off = off, off.off = X. The grade only names offenders; the
+    preservation verdicts come from the superoperator.
     """
 
     matrix: np.ndarray
@@ -75,13 +94,9 @@ class GradedOperator:
 
     def offending_paulis(self) -> list:
         """Labels of Pauli components living on the off-X pattern."""
-        out = []
-        for mu in range(4):
-            for nu in range(4):
-                coeff = np.vdot(pauli_tensor(mu, nu), self.off_part) / 4.0
-                if abs(coeff) > 1e-12 * max(1.0, float(np.linalg.norm(self.matrix))):
-                    out.append(PAULI_LABELS[mu] + PAULI_LABELS[nu])
-        return out
+        coeff = _PAULI_VECS.conj() @ self.off_part.reshape(16) / 4.0
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(self.matrix)))
+        return [PAULI_STRINGS[k] for k in np.flatnonzero(np.abs(coeff) > tol)]
 
 
 def grade(matrix: np.ndarray) -> GradedOperator:
@@ -92,10 +107,7 @@ def grade(matrix: np.ndarray) -> GradedOperator:
     x_part = np.where(X_MASK, m, 0.0)
     off_part = m - x_part
     norm = float(np.linalg.norm(m))
-    pauli = np.empty((4, 4), dtype=np.complex128)
-    for mu in range(4):
-        for nu in range(4):
-            pauli[mu, nu] = np.vdot(pauli_tensor(mu, nu), m) / 4.0
+    pauli = (_PAULI_VECS.conj() @ m.reshape(16) / 4.0).reshape(4, 4)
     if norm == 0.0:
         g = Grade.ZERO
     elif float(np.linalg.norm(off_part)) <= GRADE_RTOL * norm:
@@ -117,20 +129,45 @@ class Verdict:
         return self.preserving
 
 
-def check_hamiltonian(h: np.ndarray) -> Verdict:
-    """An X-shaped Hamiltonian (and only such) keeps X states X shaped."""
+def _commutator_generator(h) -> np.ndarray:
+    """The superoperator of rho -> -i [H, rho] for a Hermitian 4x4 ``h``."""
     m = np.asarray(h, dtype=np.complex128)
-    dev = np.abs(m - m.conj().T).max()
-    if dev > 1e-10 * max(1.0, float(np.linalg.norm(m))):
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 Hamiltonian, got shape {m.shape}")
+    dev = float(np.abs(m - m.conj().T).max())
+    if not dev <= 1e-10 * max(1.0, float(np.linalg.norm(m))):
         raise NotHermitian(f"Hamiltonian deviates from Hermiticity by {dev:.3g}")
-    g = grade(m)
-    if g.grade in (Grade.X, Grade.ZERO):
-        return Verdict(True, "Hamiltonian is X shaped")
-    return Verdict(
-        False,
-        f"Hamiltonian has off-pattern support (grade {g.grade.value})",
-        tuple(g.offending_paulis()),
+    return -1j * (np.kron(m, _I4) - np.kron(_I4, m.T))
+
+
+def _leaks(superop: np.ndarray) -> tuple:
+    """The one preservation rule: a map keeps X states X shaped iff the
+    block of its superoperator from X-pattern to off-pattern entries is
+    zero, to ``PRESERVE_RTOL`` of the whole. Returns () for such maps and
+    otherwise names the leaking Pauli transfers ``"P->Q"``, from an
+    X-pattern input P to an off-pattern output Q."""
+    tol = PRESERVE_RTOL * float(np.linalg.norm(superop))
+    if float(np.linalg.norm(superop[~X_VEC][:, X_VEC])) <= tol:
+        return ()
+    # transfer[q, p] = <Q, S(P)> / 4; the Pauli basis / 2 is orthonormal, so
+    # the block keeps its norm and some entry exceeds tol / 8
+    transfer = _PAULI_VECS.conj() @ superop @ _PAULI_VECS.T / 4.0
+    return tuple(
+        f"{PAULI_STRINGS[p]}->{PAULI_STRINGS[q]}"
+        for p in np.flatnonzero(_X_PAULI)
+        for q in np.flatnonzero(~_X_PAULI)
+        if abs(transfer[q, p]) > tol / 8.0
     )
+
+
+def check_hamiltonian(h: np.ndarray) -> Verdict:
+    """An X-shaped Hamiltonian (and only such) keeps X states X shaped.
+    Offenders are the Hamiltonian's off-pattern Pauli components."""
+    leaks = _leaks(_commutator_generator(h))
+    if not leaks:
+        return Verdict(True, "Hamiltonian is X shaped")
+    offenders = tuple(grade(h).offending_paulis()) or leaks
+    return Verdict(False, "Hamiltonian has off-pattern support", offenders)
 
 
 @dataclass(frozen=True)
@@ -154,61 +191,6 @@ class LindbladSpec:
         return cls(ops, np.diag(np.asarray(rates, dtype=float)).astype(complex), hamiltonian)
 
 
-def check_lindblad(spec: LindbladSpec) -> Verdict:
-    """A generator preserves the X pattern iff the Hamiltonian is X shaped,
-    every coupled dissipation operator is homogeneous (pure X or pure
-    off-X pattern), and h never couples operators of different grade."""
-    ops = [np.asarray(op, dtype=np.complex128) for op in spec.operators]
-    k = len(ops)
-    if k > 15:  # identity-free operator space of a 4x4 system
-        raise NonOrthonormalOperators(f"{k} operators cannot be orthogonal and traceless")
-    h = np.asarray(spec.coupling, dtype=np.complex128)
-    if h.shape != (k, k):
-        raise InvalidCoupling(f"coupling shape {h.shape} does not match {k} operators")
-    if k:
-        if np.abs(h - h.conj().T).max() > 1e-10 * max(1.0, float(np.linalg.norm(h))):
-            raise InvalidCoupling("coupling matrix is not Hermitian")
-        evals = spectral.hermitian_eigen(h)[0]
-        if evals[-1] < -1e-10 * max(1.0, float(np.linalg.norm(h))):
-            raise InvalidCoupling(f"coupling matrix has negative eigenvalue {evals[-1]:.3g}")
-    for i in range(k):
-        ni = float(np.linalg.norm(ops[i]))
-        if ni == 0.0:
-            raise NonOrthonormalOperators(f"operator {i} is zero")
-        if abs(ops[i].trace()) > 1e-10 * ni:
-            raise NonOrthonormalOperators(f"operator {i} is not traceless")
-        for j in range(i + 1, k):
-            nj = float(np.linalg.norm(ops[j]))
-            inner = abs(np.vdot(ops[i], ops[j]))
-            if inner > 1e-10 * ni * nj:
-                raise NonOrthonormalOperators(
-                    f"operators {i} and {j} are not orthogonal (|<Li,Lj>| = {inner:.3g})"
-                )
-    if spec.hamiltonian is not None:
-        hv = check_hamiltonian(spec.hamiltonian)
-        if not hv.preserving:
-            return Verdict(False, "Hamiltonian part: " + hv.message, hv.offenders)
-    grades = [grade(op).grade for op in ops]
-    offenders = []
-    hnorm = float(np.abs(h).max()) if k else 0.0
-    for i in range(k):
-        coupled = any(abs(h[i, j]) > COUPLING_TOL * max(1.0, hnorm) for j in range(k))
-        if coupled and grades[i] == Grade.MIXED:
-            offenders.append(f"L{i}:mixed")
-    for i in range(k):
-        for j in range(k):
-            if abs(h[i, j]) <= COUPLING_TOL * max(1.0, hnorm):
-                continue
-            gi, gj = grades[i], grades[j]
-            if Grade.ZERO in (gi, gj) or Grade.MIXED in (gi, gj):
-                continue
-            if gi != gj:
-                offenders.append(f"h[{i},{j}]:cross-grade")
-    if offenders:
-        return Verdict(False, "generator mixes the two support patterns", tuple(offenders))
-    return Verdict(True, "generator preserves the X pattern")
-
-
 @dataclass(frozen=True)
 class KrausSet:
     """Operator-sum channel rho -> sum_i X_i rho X_i^dag."""
@@ -223,23 +205,85 @@ class KrausSet:
         )
 
 
-def check_kraus(channel: KrausSet) -> Verdict:
-    """A channel preserves the X pattern iff every Kraus operator is
-    homogeneous in the grading. Trace preservation sum(X_i^dag X_i) = I is
-    enforced first."""
-    total = np.zeros((4, 4), dtype=np.complex128)
-    for op in channel.operators:
-        total += op.conj().T @ op
+def _lindblad_superoperator(spec: LindbladSpec) -> np.ndarray:
+    k = len(spec.operators)
+    if k > 15:  # identity-free operator space of a 4x4 system
+        raise NonOrthonormalOperators(f"{k} operators cannot be orthogonal and traceless")
+    ops = np.array([np.asarray(op) for op in spec.operators] or np.zeros((0, 4, 4)),
+                   dtype=np.complex128)
+    if ops.shape != (k, 4, 4):
+        raise ValueError(f"operators must be 4x4 matrices, got shape {ops.shape[1:]}")
+    h = np.asarray(spec.coupling, dtype=np.complex128)
+    if h.shape != (k, k):
+        raise InvalidCoupling(f"coupling shape {h.shape} does not match {k} operators")
+    if k:
+        scale = 1e-10 * max(1.0, float(np.linalg.norm(h)))
+        if not np.abs(h - h.conj().T).max() <= scale:
+            raise InvalidCoupling("coupling matrix is not Hermitian")
+        low = np.linalg.eigvalsh(h)[0]
+        if low < -scale:
+            raise InvalidCoupling(f"coupling matrix has negative eigenvalue {low:.3g}")
+    for i in range(k):
+        ni = float(np.linalg.norm(ops[i]))
+        if not ni > 0.0:
+            raise NonOrthonormalOperators(f"operator {i} is zero or not finite")
+        if not abs(ops[i].trace()) <= 1e-10 * ni:
+            raise NonOrthonormalOperators(f"operator {i} is not traceless")
+        for j in range(i + 1, k):
+            nj = float(np.linalg.norm(ops[j]))
+            inner = abs(np.vdot(ops[i], ops[j]))
+            if inner > 1e-10 * ni * nj:
+                raise NonOrthonormalOperators(
+                    f"operators {i} and {j} are not orthogonal (|<Li,Lj>| = {inner:.3g})"
+                )
+    out = np.zeros((16, 16), dtype=np.complex128)
+    if spec.hamiltonian is not None:
+        out += _commutator_generator(spec.hamiltonian)
+    # sum h_nm (2 L_n (x) conj(L_m) - M (x) I - I (x) M^T), M = sum h_nm L_m^dag L_n
+    jump = np.einsum("nm,nij,mkl->ikjl", h, ops, ops.conj()).reshape(16, 16)
+    m = np.einsum("nm,mji,njk->ik", h, ops.conj(), ops)
+    return out + 2.0 * jump - np.kron(m, _I4) - np.kron(_I4, m.T)
+
+
+def _kraus_superoperator(channel: KrausSet) -> np.ndarray:
+    total = sum((op.conj().T @ op for op in channel.operators), np.zeros((4, 4)))
     dev = float(np.abs(total - np.eye(4)).max())
-    if dev > 1e-10:
+    if not dev <= 1e-10:
         raise CompletenessViolated(dev)
-    offenders = []
-    for i, op in enumerate(channel.operators):
-        g = grade(op).grade
-        if g == Grade.MIXED:
-            offenders.append(f"X{i}:mixed")
-    if offenders:
-        return Verdict(False, "channel mixes the two support patterns", tuple(offenders))
+    return sum(np.kron(op, op.conj()) for op in channel.operators)
+
+
+def superoperator(obj) -> np.ndarray:
+    """The 16x16 matrix acting on row-major vec(rho) = rho.reshape(16),
+    with vec(A rho B) = (A (x) B^T) vec(rho).
+
+    For a :class:`LindbladSpec` it is the Liouvillian (Hamiltonian part plus
+    the h-weighted dissipator); for a :class:`KrausSet` it is
+    sum_i X_i (x) conj(X_i). The inputs are checked first: Hermitian
+    Hamiltonian, Hermitian PSD coupling, traceless mutually orthogonal
+    operators, complete Kraus set.
+    """
+    if isinstance(obj, KrausSet):
+        return _kraus_superoperator(obj)
+    return _lindblad_superoperator(obj)
+
+
+def check_lindblad(spec: LindbladSpec) -> Verdict:
+    """A generator preserves the X pattern iff its Liouvillian sends no
+    X-pattern matrix off the pattern."""
+    leaks = _leaks(superoperator(spec))
+    if leaks:
+        return Verdict(False, "generator mixes the two support patterns", leaks)
+    return Verdict(True, "generator preserves the X pattern")
+
+
+def check_kraus(channel: KrausSet) -> Verdict:
+    """A channel preserves the X pattern iff its superoperator sends no
+    X-pattern matrix off the pattern. Trace preservation
+    sum(X_i^dag X_i) = I is enforced first."""
+    leaks = _leaks(superoperator(channel))
+    if leaks:
+        return Verdict(False, "channel mixes the two support patterns", leaks)
     return Verdict(True, "channel preserves the X pattern")
 
 
@@ -252,60 +296,27 @@ def apply_channel(channel: KrausSet, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rhs_terms(spec: LindbladSpec):
-    # precompute (h_nm, L_n, L_m^dag, L_m^dag L_n) for the nonzero couplings
-    ops = [np.asarray(op, dtype=np.complex128) for op in spec.operators]
-    h = np.asarray(spec.coupling, dtype=np.complex128)
-    terms = []
-    for n in range(len(ops)):
-        for m in range(len(ops)):
-            if abs(h[n, m]) == 0.0:
-                continue
-            lmd = ops[m].conj().T
-            terms.append((h[n, m], ops[n], lmd, lmd @ ops[n]))
-    return terms
-
-
-def _rhs(ham, terms, rho):
-    if ham is None:
-        drho = np.zeros_like(rho)
-    else:
-        drho = 1j * (rho @ ham - ham @ rho)
-    for hnm, ln, lmd, lmdln in terms:
-        drho = drho + hnm * (2.0 * (ln @ rho @ lmd) - rho @ lmdln - lmdln @ rho)
-    return drho
-
-
-def _rk4_step(ham, terms, rho, dt):
-    k1 = _rhs(ham, terms, rho)
-    k2 = _rhs(ham, terms, rho + 0.5 * dt * k1)
-    k3 = _rhs(ham, terms, rho + 0.5 * dt * k2)
-    k4 = _rhs(ham, terms, rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def off_pattern_norm(m: np.ndarray) -> float:
     """Frobenius norm of the off-pattern part of a 4x4 matrix."""
     return float(np.linalg.norm(np.where(X_MASK, 0.0, np.asarray(m))))
 
 
-def rk4_lindblad(spec: LindbladSpec, rho0: np.ndarray, dt: float, steps: int):
-    """Raw fixed-step RK4 integration of the master equation.
+def propagate(spec: LindbladSpec, rho0: np.ndarray, dt: float, steps: int):
+    """Raw exact propagation of the master equation: ``steps`` applications
+    of expm(L dt) to the full 4x4 matrix.
 
     No projection, no preservation check. Returns the final matrix and the
     largest off-pattern norm seen, which is the honest leakage measure for
     generators that do *not* preserve the pattern.
     """
-    ham = None if spec.hamiltonian is None else np.asarray(spec.hamiltonian, dtype=np.complex128)
-    terms = _rhs_terms(spec)
-    rho = np.asarray(rho0, dtype=np.complex128).copy()
+    prop = _kernels.expm(superoperator(spec) * dt)
+    rho = np.asarray(rho0, dtype=np.complex128)
     max_leak = off_pattern_norm(rho)
+    vec = rho.reshape(16)
     for _ in range(steps):
-        rho = _rk4_step(ham, terms, rho, dt)
-        leak = off_pattern_norm(rho)
-        if leak > max_leak:
-            max_leak = leak
-    return rho, max_leak
+        vec = prop @ vec
+        max_leak = max(max_leak, off_pattern_norm(vec.reshape(4, 4)))
+    return vec.reshape(4, 4), max_leak
 
 
 _TRAJECTORY_MEASURES = {
@@ -321,7 +332,7 @@ _TRAJECTORY_MEASURES = {
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled X states and measures along one integration run."""
+    """Sampled X states and measures along one propagation run."""
 
     times: np.ndarray
     states: tuple
@@ -335,14 +346,14 @@ class Trajectory:
 def _project_sample(rho: np.ndarray, leakage_tol: float):
     sym = 0.5 * (rho + rho.conj().T)
     tr = float(sym.trace().real)
-    if abs(tr - 1.0) > 1e-9:
+    if not abs(tr - 1.0) <= 1e-9:
         raise StepRejected(f"trace drifted to {tr!r}")
     sym = sym / tr
     leak = off_pattern_norm(sym)
     if leak > leakage_tol:
         raise StepRejected(
             f"off-pattern leakage {leak:.3g} exceeds {leakage_tol:.3g}; "
-            "the generator is probably not pattern preserving or dt is too large"
+            "the generator is probably not pattern preserving"
         )
     projected = np.where(X_MASK, sym, 0.0)
     try:
@@ -360,17 +371,21 @@ def evolve(
     record: tuple = ("concurrence",),
     leakage_tol: float = 1e-10,
 ) -> Trajectory:
-    """Integrate a pattern-preserving master equation from ``x0``.
+    """Propagate a pattern-preserving master equation from ``x0``.
 
-    Classic fixed-step RK4 on the full 4x4 matrix. Samples every
-    ``sample_every`` steps; at each sample the off-pattern leakage must stay
-    below ``leakage_tol`` (raises :class:`StepRejected` otherwise), the
-    state is re-projected onto the X pattern, and the requested measures
+    The exact step propagator P = expm(L dt) of the Liouvillian L acts on the
+    full 4x4 matrix; between samples its ``sample_every``-th power is
+    applied, so a sample at ``step * dt`` is P^step applied to ``x0``. At
+    each sample the trace must stay within 1e-9 of one and the off-pattern
+    leakage below ``leakage_tol`` (raises :class:`StepRejected` otherwise);
+    the sample is projected onto the X pattern and the requested measures
     are recorded. Raises :class:`NotPreserving` when the generator fails
     :func:`check_lindblad`.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     for name in record:
@@ -381,23 +396,26 @@ def evolve(
     verdict = check_lindblad(spec)
     if not verdict.preserving:
         raise NotPreserving(f"{verdict.message}: {', '.join(verdict.offenders)}")
-    ham = None if spec.hamiltonian is None else np.asarray(spec.hamiltonian, dtype=np.complex128)
-    terms = _rhs_terms(spec)
+    prop = _kernels.expm(superoperator(spec) * dt)
+    hop = np.linalg.matrix_power(prop, sample_every)
     steps = max(1, int(round(t_max / dt)))
-    rho = x0.to_matrix()
+    vec = x0.to_matrix().reshape(16)
     times = [0.0]
     states = [x0]
     recorded = {name: [_TRAJECTORY_MEASURES[name](x0)] for name in record}
     max_leak = 0.0
-    for step in range(1, steps + 1):
-        rho = _rk4_step(ham, terms, rho, dt)
-        if step % sample_every == 0 or step == steps:
-            state, leak = _project_sample(rho, leakage_tol)
-            max_leak = max(max_leak, leak)
-            times.append(step * dt)
-            states.append(state)
-            for name in record:
-                recorded[name].append(_TRAJECTORY_MEASURES[name](state))
+    done = 0
+    for n in [*range(sample_every, steps, sample_every), steps]:
+        # P^sample_every between samples; the last interval may be shorter
+        power = hop if n - done == sample_every else np.linalg.matrix_power(prop, n - done)
+        vec = power @ vec
+        done = n
+        state, leak = _project_sample(vec.reshape(4, 4), leakage_tol)
+        max_leak = max(max_leak, leak)
+        times.append(n * dt)
+        states.append(state)
+        for name in record:
+            recorded[name].append(_TRAJECTORY_MEASURES[name](state))
     return Trajectory(
         times=np.array(times),
         states=tuple(states),
@@ -409,20 +427,11 @@ def evolve(
     )
 
 
-def _concurrence_gap(x: XState) -> float:
-    # signed distance to entanglement death: concurrence/2 before clipping
-    return max(
-        abs(x.z) - math.sqrt(x.a * x.d),
-        abs(x.w) - math.sqrt(x.b * x.c),
-    )
-
-
-def _integrate_from(spec: LindbladSpec, x: XState, duration: float, dt_hint: float) -> XState:
-    n = max(1, int(math.ceil(duration / dt_hint)))
-    rho, _ = rk4_lindblad(spec, x.to_matrix(), duration / n, n)
-    sym = 0.5 * (rho + rho.conj().T)
-    sym /= sym.trace().real
-    return from_matrix(np.where(X_MASK, sym, 0.0))
+def _concurrence_gap(m: np.ndarray) -> float:
+    # signed distance of an X-shaped matrix to entanglement death:
+    # concurrence/2 before clipping
+    a, b, c, d = np.maximum(np.diagonal(m).real, 0.0)
+    return max(abs(m[1, 2]) - np.sqrt(a * d), abs(m[0, 3]) - np.sqrt(b * c))
 
 
 def esd_time(
@@ -432,8 +441,9 @@ def esd_time(
 
     Scans the sampled concurrence for the first value <= ``tol`` that is
     followed by ``confirm`` equally dead samples, then refines the crossing
-    by bisection (re-integrating from the preceding sample). Returns None
-    when the concurrence never vanishes on the horizon.
+    by bisection, propagating the preceding sample exactly with
+    expm(L tau) to each midpoint. Returns None when the concurrence never
+    vanishes on the horizon.
     """
     if "concurrence" in traj.measures:
         conc = traj.measures["concurrence"]
@@ -451,14 +461,16 @@ def esd_time(
         return 0.0
     lo_t = float(traj.times[hit - 1])
     hi_t = float(traj.times[hit])
-    lo_state = traj.states[hit - 1]
-    if _concurrence_gap(lo_state) <= 0.0:
+    lo_rho = traj.states[hit - 1].to_matrix()
+    if _concurrence_gap(lo_rho) <= 0.0:
         return lo_t
+    liouvillian = superoperator(traj.spec)
+    lo_vec = lo_rho.reshape(16)
     lo, hi = lo_t, hi_t
     for _ in range(refine_iterations):
         mid_t = 0.5 * (lo + hi)
-        state = _integrate_from(traj.spec, lo_state, mid_t - lo_t, traj.dt)
-        if _concurrence_gap(state) > 0.0:
+        rho = (_kernels.expm(liouvillian * (mid_t - lo_t)) @ lo_vec).reshape(4, 4)
+        if _concurrence_gap(rho) > 0.0:
             lo = mid_t
         else:
             hi = mid_t

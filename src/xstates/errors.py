@@ -88,4 +88,5 @@ class NotPreserving(DynamicsError):
 
 
 class StepRejected(DynamicsError):
-    """Integrator produced leakage or positivity loss beyond tolerance."""
+    """A sampled state drifted in trace, leaked off the pattern or lost
+    positivity beyond tolerance."""

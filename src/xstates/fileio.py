@@ -8,6 +8,7 @@ directory followed by an atomic rename; failures leave no partial output.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -85,6 +86,30 @@ def _obj_to_complex(obj) -> complex:
     return complex(float(obj))
 
 
+def _finite(values, what: str) -> np.ndarray:
+    """``values`` as a complex array; raises ValueError on NaN or infinity."""
+    arr = np.asarray(values, dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
+def _require_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+@contextlib.contextmanager
+def _parsing(what: str):
+    """Reports a JSON value of the wrong type, which surfaces as a
+    TypeError while parsing, as malformed input (ValueError)."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
+
+
 def state_to_obj(x: XState) -> dict:
     return {
         "a": x.a,
@@ -97,6 +122,7 @@ def state_to_obj(x: XState) -> dict:
 
 
 def state_from_obj(obj: dict) -> XState:
+    _require_object(obj, "state")
     if "matrix" in obj:
         rows = obj["matrix"]
         m = np.array(
@@ -120,7 +146,8 @@ def state_from_obj(obj: dict) -> XState:
 def load_state(path: str) -> XState:
     with open(path) as fh:
         obj = json.load(fh)
-    return state_from_obj(obj)
+    with _parsing("state"):
+        return state_from_obj(obj)
 
 
 def save_state(path: str, x: XState) -> None:
@@ -135,7 +162,7 @@ def save_corpus(path: str, states) -> None:
 
 def load_corpus(path: str):
     states = []
-    with open(path) as fh:
+    with open(path) as fh, _parsing("corpus"):
         for line in fh:
             line = line.strip()
             if line:
@@ -154,38 +181,38 @@ def operator_from_obj(obj) -> np.ndarray:
     if isinstance(obj, str):
         return pauli_string_matrix(obj)
     if isinstance(obj, dict):
+        coeffs = _finite([float(c) for c in obj.values()], "operator coefficients")
         m = np.zeros((4, 4), dtype=np.complex128)
-        for label, coeff in obj.items():
-            m += float(coeff) * pauli_string_matrix(label)
+        for label, coeff in zip(obj, coeffs):
+            m += coeff * pauli_string_matrix(label)
         return m
     m = np.array(
         [[_obj_to_complex(cell) for cell in row] for row in obj], dtype=np.complex128
     )
     if m.shape != (4, 4):
         raise ValueError(f"operator must be 4x4, got shape {m.shape}")
-    return m
+    return _finite(m, "operator entries")
 
 
 def _coupling_from_obj(obj, k: int) -> np.ndarray:
     if obj is None:
         raise ValueError("dynamics config needs either 'h' or 'rates'")
-    arr = np.array(
-        [[_obj_to_complex(cell) for cell in row] for row in obj], dtype=np.complex128
-    )
+    arr = _finite([[_obj_to_complex(cell) for cell in row] for row in obj], "coupling h")
     if arr.shape != (k, k):
         raise ValueError(f"coupling must be {k}x{k}, got shape {arr.shape}")
     return arr
 
 
 def lindblad_from_obj(obj: dict) -> LindbladSpec:
+    _require_object(obj, "lindblad spec")
     ops = tuple(operator_from_obj(o) for o in obj.get("operators", []))
     if "h" in obj:
         coupling = _coupling_from_obj(obj["h"], len(ops))
     elif "rates" in obj:
-        rates = [float(r) for r in obj["rates"]]
+        rates = _finite([float(r) for r in obj["rates"]], "rates")
         if len(rates) != len(ops):
             raise ValueError(f"{len(rates)} rates for {len(ops)} operators")
-        coupling = np.diag(rates).astype(complex)
+        coupling = np.diag(rates)
     else:
         coupling = np.zeros((len(ops), len(ops)), dtype=complex)
     ham = obj.get("hamiltonian")
@@ -200,28 +227,30 @@ def load_dynamics_config(path: str) -> dict:
     """Returns {'spec', 'initial_state', 'dt', 't_max', 'sample_every',
     'measures'} from an evolve config file."""
     with open(path) as fh:
-        obj = json.load(fh)
+        obj = _require_object(json.load(fh), "dynamics config")
     for key in ("initial_state", "dt", "t_max"):
         if key not in obj:
             raise ValueError(f"dynamics config lacks key {key!r}")
-    return {
-        "spec": lindblad_from_obj(obj),
-        "initial_state": state_from_obj(obj["initial_state"]),
-        "dt": float(obj["dt"]),
-        "t_max": float(obj["t_max"]),
-        "sample_every": int(obj.get("sample_every", 1)),
-        "measures": tuple(obj.get("measures", ["concurrence"])),
-    }
+    with _parsing("dynamics config"):
+        return {
+            "spec": lindblad_from_obj(obj),
+            "initial_state": state_from_obj(obj["initial_state"]),
+            "dt": float(obj["dt"]),
+            "t_max": float(obj["t_max"]),
+            "sample_every": int(obj.get("sample_every", 1)),
+            "measures": tuple(obj.get("measures", ["concurrence"])),
+        }
 
 
 def load_check_config(path: str):
     """Returns ('kraus', KrausSet) or ('lindblad', LindbladSpec)."""
     with open(path) as fh:
-        obj = json.load(fh)
-    if "kraus" in obj:
-        return "kraus", KrausSet(tuple(operator_from_obj(o) for o in obj["kraus"]))
-    if "lindblad" in obj:
-        return "lindblad", lindblad_from_obj(obj["lindblad"])
+        obj = _require_object(json.load(fh), "check config")
+    with _parsing("check config"):
+        if "kraus" in obj:
+            return "kraus", KrausSet(tuple(operator_from_obj(o) for o in obj["kraus"]))
+        if "lindblad" in obj:
+            return "lindblad", lindblad_from_obj(obj["lindblad"])
     raise ValueError("check config needs a 'kraus' or 'lindblad' key")
 
 

@@ -1,5 +1,5 @@
-"""Closed-form spectral analysis of X states plus a small dense Hermitian
-eigensolver used as the independent numerical route."""
+"""Closed-form spectral analysis of X states: eigendecomposition, entropy,
+purity, marginals and the partial transpose."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .core import XState
-from .errors import NotHermitian
-
-HERMITIAN_TOL = 1e-10
-MAX_EIGEN_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -156,22 +151,3 @@ def partial_transpose(x: XState) -> PartialTransposeResult:
     sr = math.hypot(rm, abs(z_new))
     eigenvalues = np.sort(np.array([up + su, up - su, rp + sr, rp - sr]))[::-1]
     return PartialTransposeResult(x.a, x.b, x.c, x.d, z_new, w_new, eigenvalues)
-
-
-def hermitian_eigen(matrix: np.ndarray):
-    """Spectrum (descending) and column eigenvectors of a small Hermitian
-    matrix via cyclic Jacobi rotations.
-
-    Intended as an independent numerical route for dimensions <= 16; raises
-    :class:`NotHermitian` when the input is not Hermitian within 1e-10.
-    """
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_EIGEN_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds limit {MAX_EIGEN_DIM}")
-    dev = np.abs(m - m.conj().T).max()
-    if dev > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(m))):
-        raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3g}")
-    m = 0.5 * (m + m.conj().T)
-    return _kernels.jacobi_eigh(m)

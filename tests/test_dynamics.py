@@ -1,12 +1,17 @@
-"""Operator grading, preservation verdicts, channels, the RK4 integrator,
-and entanglement-sudden-death detection."""
+"""Operator grading, superoperators and the preservation rule, channels,
+exact propagation, and entanglement-sudden-death detection."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xstates as xs
+from xstates import _kernels
 from xstates.dynamics import Grade, pauli_string_matrix, pauli_tensor
 from xstates.errors import (
     CompletenessViolated,
@@ -32,6 +37,51 @@ def damping_kraus_pair(g: float):
 def double_damping_channel(g: float) -> xs.KrausSet:
     k0, k1 = damping_kraus_pair(g)
     return xs.KrausSet(tuple(np.kron(p, q) for p in (k0, k1) for q in (k0, k1)))
+
+
+def damping_spec(g_a: float = 1.0, g_b: float = 1.0) -> xs.LindbladSpec:
+    return xs.LindbladSpec.from_rates(
+        [np.kron(SM, np.eye(2)), np.kron(np.eye(2), SM)], [g_a, g_b]
+    )
+
+
+def rotated_damping_on_a(g: float) -> xs.KrausSet:
+    """Damping on qubit A with its Kraus pair rotated to (K0 +- K1)/sqrt(2):
+    the same channel, but each operator now has both support patterns."""
+    k0, k1 = (np.kron(k, np.eye(2)) for k in damping_kraus_pair(g))
+    return xs.KrausSet(((k0 + k1) / math.sqrt(2), (k0 - k1) / math.sqrt(2)))
+
+
+def rotated_zi_xi_spec(gamma: float = 1.0) -> xs.LindbladSpec:
+    """{ZI, XI} at equal rates rewritten as {(ZI +- XI)/sqrt(2)}: the same
+    generator, with mixed-pattern operators."""
+    zi, xi = pauli_string_matrix("ZI"), pauli_string_matrix("XI")
+    return xs.LindbladSpec.from_rates(
+        [(zi + xi) / math.sqrt(2), (zi - xi) / math.sqrt(2)], [gamma, gamma]
+    )
+
+
+def dense_generator(spec: xs.LindbladSpec, rho: np.ndarray) -> np.ndarray:
+    """The master equation's right-hand side, written out term by term."""
+    out = np.zeros((4, 4), dtype=complex)
+    if spec.hamiltonian is not None:
+        h = spec.hamiltonian
+        out += -1j * (h @ rho - rho @ h)
+    for n, ln in enumerate(spec.operators):
+        for m, lm in enumerate(spec.operators):
+            lmd = lm.conj().T
+            out += spec.coupling[n, m] * (2 * ln @ rho @ lmd - rho @ lmd @ ln - lmd @ ln @ rho)
+    return out
+
+
+def random_unitary(entries) -> np.ndarray:
+    """Q of the QR factorisation of a square matrix of (re, im) pairs."""
+    k = math.isqrt(len(entries))
+    g = np.array([complex(re, im) for re, im in entries]).reshape(k, k)
+    return np.linalg.qr(g)[0]
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 class TestGrading:
@@ -123,7 +173,12 @@ class TestLindbladCheck:
         )
         v = xs.check_lindblad(spec)
         assert not v.preserving
-        assert any("cross-grade" in o for o in v.offenders)
+        # offenders name Pauli transfers from an X-pattern input to an
+        # off-pattern output, e.g. ZI -> XI through the h[0, 1] coupling
+        assert "ZI->XI" in v.offenders
+        for name in v.offenders:
+            source, target = name.split("->")
+            assert source in X_STRINGS and target not in X_STRINGS
 
     def test_same_grade_coupling_allowed(self):
         spec = xs.LindbladSpec(
@@ -163,8 +218,7 @@ class TestLindbladCheck:
             xs.check_lindblad(spec)
 
     def test_full_operator_basis_accepted_but_not_more(self):
-        # all 15 traceless Paulis with diagonal coupling: homogeneous
-        # operators, no cross-grade h entries, hence preserving
+        # all 15 traceless Paulis with diagonal coupling: preserving
         basis = [pauli_string_matrix(p + q) for p in "IXYZ" for q in "IXYZ"][1:]
         assert xs.check_lindblad(xs.LindbladSpec.from_rates(basis, [0.1] * 15)).preserving
         with pytest.raises(NonOrthonormalOperators):
@@ -176,6 +230,21 @@ class TestLindbladCheck:
             hamiltonian=pauli_string_matrix("XI"),
         )
         assert not xs.check_lindblad(spec).preserving
+
+    def test_rotated_operator_basis_preserving(self):
+        # the same generator as {ZI, XI} at equal rates, which preserves
+        assert xs.check_lindblad(rotated_zi_xi_spec()).preserving
+        plain = xs.LindbladSpec.from_rates(
+            [pauli_string_matrix("ZI"), pauli_string_matrix("XI")], [1.0, 1.0]
+        )
+        assert xs.check_lindblad(plain).preserving
+        diff = xs.superoperator(rotated_zi_xi_spec()) - xs.superoperator(plain)
+        assert np.abs(diff).max() < 1e-14
+
+    def test_nan_coupling_rejected(self):
+        spec = xs.LindbladSpec.from_rates([pauli_string_matrix("ZI")], [float("nan")])
+        with pytest.raises(InvalidCoupling):
+            xs.check_lindblad(spec)
 
 
 class TestKrausCheck:
@@ -198,6 +267,134 @@ class TestKrausCheck:
     def test_completeness_enforced(self):
         with pytest.raises(CompletenessViolated):
             xs.check_kraus(xs.KrausSet((0.5 * np.eye(4, dtype=complex),)))
+
+    def test_completeness_rejects_nan(self):
+        k0, k1 = (np.kron(k, np.eye(2)) for k in damping_kraus_pair(0.3))
+        k1[0, 2] = np.nan
+        with pytest.raises(CompletenessViolated):
+            xs.check_kraus(xs.KrausSet((k0, k1)))
+
+    def test_rotated_damping_pair_preserving(self):
+        rotated = rotated_damping_on_a(0.3)
+        k0, k1 = (np.kron(k, np.eye(2)) for k in damping_kraus_pair(0.3))
+        for x in random_states(5, seed=9):
+            m = x.to_matrix()
+            same = xs.apply_channel(rotated, m) - xs.apply_channel(xs.KrausSet((k0, k1)), m)
+            assert np.abs(same).max() < 1e-15
+        assert xs.grade(rotated.operators[0]).grade is Grade.MIXED
+        assert xs.check_kraus(rotated).preserving
+
+    def test_offenders_name_pauli_transfers(self):
+        h2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        verdict = xs.check_kraus(xs.KrausSet((np.kron(h2, np.eye(2)),)))
+        # the Hadamard on A sends ZI to XI
+        assert "ZI->XI" in verdict.offenders
+
+
+class TestSuperoperator:
+    def test_liouvillian_matches_dense_generator(self):
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        spec = xs.LindbladSpec(
+            operators=(np.kron(SM, np.eye(2)), pauli_string_matrix("XY"),
+                       pauli_string_matrix("ZZ")),
+            coupling=g @ g.conj().T,
+            hamiltonian=pauli_string_matrix("ZZ") + 0.3 * pauli_string_matrix("XY"),
+        )
+        liouvillian = xs.superoperator(spec)
+        for _ in range(5):
+            r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = r @ r.conj().T
+            got = (liouvillian @ rho.reshape(16)).reshape(4, 4)
+            assert np.abs(got - dense_generator(spec, rho)).max() < 1e-12
+
+    def test_kraus_superoperator_matches_apply_channel(self):
+        channel = double_damping_channel(0.4)
+        sup = xs.superoperator(channel)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            got = (sup @ rho.reshape(16)).reshape(4, 4)
+            assert np.abs(got - xs.apply_channel(channel, rho)).max() < 1e-14
+
+    def test_off_block_of_preserving_maps_is_zero(self):
+        off_from_x = np.ix_(~xs.dynamics.X_VEC, xs.dynamics.X_VEC)
+        assert np.abs(xs.superoperator(damping_spec(0.7, 1.3))[off_from_x]).max() == 0.0
+        assert np.abs(xs.superoperator(double_damping_channel(0.3))[off_from_x]).max() == 0.0
+
+    @PROPERTY
+    @given(st.integers(1, 4), st.booleans(), st.data())
+    def test_lindblad_verdict_independent_of_operator_basis(self, k, full, data):
+        labels = data.draw(st.lists(st.sampled_from(xs.dynamics.PAULI_STRINGS[1:]),
+                                    min_size=k, max_size=k, unique=True))
+        ops = np.array([pauli_string_matrix(lab) for lab in labels])
+        pair = st.tuples(st.floats(-1, 1), st.floats(-1, 1))
+        g = np.array([complex(re, im) for re, im in
+                      data.draw(st.lists(pair, min_size=k * k, max_size=k * k))])
+        g = g.reshape(k, k)
+        # a full coupling may join the two patterns; a diagonal one never does
+        coupling = g @ g.conj().T if full else np.diag(np.abs(np.diag(g)) ** 2)
+        u = random_unitary(data.draw(st.lists(pair, min_size=k * k, max_size=k * k)))
+        spec = xs.LindbladSpec(tuple(ops), coupling.astype(complex))
+        # L'_a = sum_n conj(U[a, n]) L_n with h' = U h U^dag is the same generator
+        mixed = xs.LindbladSpec(
+            tuple(np.einsum("an,nij->aij", u.conj(), ops)), u @ spec.coupling @ u.conj().T
+        )
+        a, b = xs.superoperator(spec), xs.superoperator(mixed)
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
+        assert xs.check_lindblad(mixed).preserving == xs.check_lindblad(spec).preserving
+
+    @PROPERTY
+    @given(st.sampled_from(["damping", "double", "flip", "hadamard", "rotation"]),
+           st.floats(0.05, 0.95), st.data())
+    def test_kraus_verdict_independent_of_operator_basis(self, family, p, data):
+        k0, k1 = damping_kraus_pair(p)
+        eye = np.eye(2)
+        rot = math.cos(p) * np.eye(4) - 1j * math.sin(p) * pauli_string_matrix("XI")
+        ops = {
+            "damping": [np.kron(k0, eye), np.kron(k1, eye)],
+            "double": list(double_damping_channel(p).operators),
+            "flip": [math.sqrt(1 - p) * np.eye(4), math.sqrt(p) * pauli_string_matrix("XX")],
+            "hadamard": [np.kron(np.array([[1, 1], [1, -1]]) / math.sqrt(2), eye)],
+            "rotation": [rot],
+        }[family]
+        k = len(ops)
+        pair = st.tuples(st.floats(-1, 1), st.floats(-1, 1))
+        u = random_unitary(data.draw(st.lists(pair, min_size=k * k, max_size=k * k)))
+        channel = xs.KrausSet(tuple(ops))
+        mixed = xs.KrausSet(tuple(np.einsum("an,nij->aij", u, np.array(ops))))
+        assert np.abs(xs.superoperator(channel) - xs.superoperator(mixed)).max() < 1e-12
+        assert xs.check_kraus(mixed).preserving == xs.check_kraus(channel).preserving
+
+
+class TestExpm:
+    @staticmethod
+    def rel_err(a):
+        from scipy.linalg import expm  # test-only reference
+
+        expected = expm(a)
+        return np.linalg.norm(_kernels.expm(a) - expected) / np.linalg.norm(expected)
+
+    def test_damping_liouvillian(self):
+        assert self.rel_err(xs.superoperator(damping_spec(0.7, 1.3))) < 1e-12
+
+    def test_defective_jordan_block(self):
+        jordan = -np.eye(16) + np.diag(np.ones(15), 1)
+        assert self.rel_err(jordan) < 1e-12
+
+    def test_large_norm(self):
+        liouvillian = xs.superoperator(
+            xs.LindbladSpec(damping_spec(0.7, 1.3).operators, np.diag([0.7, 1.3]),
+                            hamiltonian=pauli_string_matrix("ZZ"))
+        )
+        assert self.rel_err(50.0 * liouvillian) < 1e-12
+
+    def test_runtime_imports_no_scipy(self):
+        code = ("import sys, xstates; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestApplyChannel:
@@ -232,7 +429,7 @@ class TestApplyChannel:
             x = xs.random_xstate(4, int(rng.integers(1000)))
             out = xs.apply_channel(channel, x.to_matrix())
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-            assert xs.hermitian_eigen(out)[0][-1] >= -1e-10
+            assert np.linalg.eigvalsh(out)[0] >= -1e-10
 
 
 class TestEvolve:
@@ -256,15 +453,18 @@ class TestEvolve:
             assert complex(s.w).real == pytest.approx(0.15 * decay, abs=1e-8)
             assert s.a == pytest.approx(0.4, abs=1e-10)
 
-    def test_rk4_order_four_convergence(self):
-        spec = xs.LindbladSpec.from_rates([pauli_string_matrix("ZI")], [1.0])
-        x0 = xs.validate(0.25, 0.25, 0.25, 0.25, z=0.2, w=0.2)
-        exact = 0.2 * math.exp(-4.0)
-        err = []
-        for dt in (2e-2, 1e-2):
-            traj = xs.evolve(spec, x0, dt=dt, t_max=1.0, sample_every=int(1.0 / dt))
-            err.append(abs(complex(traj.states[-1].z).real - exact))
-        assert err[1] < err[0] / 8.0  # at least cubic drop on halving
+    def test_dt_independence(self):
+        # the propagator is exact, so the step only sets where samples fall
+        spec = xs.LindbladSpec(
+            damping_spec(0.7, 1.3).operators, np.diag([0.7, 1.3]).astype(complex),
+            hamiltonian=pauli_string_matrix("ZZ") + 0.5 * pauli_string_matrix("XX"),
+        )
+        x0 = xs.validate(0.4, 0.3, 0.2, 0.1, z=0.2, w=0.15)
+        coarse = xs.evolve(spec, x0, dt=1e-2, t_max=1.0, sample_every=10, record=())
+        fine = xs.evolve(spec, x0, dt=1e-3, t_max=1.0, sample_every=100, record=())
+        assert coarse.times == pytest.approx(fine.times, abs=1e-15)
+        for a, b in zip(coarse.states, fine.states):
+            assert np.abs(a.to_matrix() - b.to_matrix()).max() < 1e-12
 
     def test_double_damping_matches_exact_channel(self):
         gamma, t = 0.8, 0.6
@@ -288,7 +488,7 @@ class TestEvolve:
         x0 = xs.validate(0.4, 0.3, 0.2, 0.1, z=0.2, w=0.15)
         t = 1.0
         traj = xs.evolve(spec, x0, dt=1e-3, t_max=t, sample_every=1000)
-        evals, vecs = xs.hermitian_eigen(h)
+        evals, vecs = np.linalg.eigh(h)
         u = (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
         expected = u @ x0.to_matrix() @ u.conj().T
         assert np.abs(traj.states[-1].to_matrix() - expected).max() < 1e-8
@@ -310,8 +510,25 @@ class TestEvolve:
             operators=(pauli_string_matrix("ZI"), pauli_string_matrix("XI")),
             coupling=np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex),
         )
-        _, leak = xs.rk4_lindblad(spec, xs.werner(0.8).to_matrix(), 1e-3, 1000)
+        _, leak = xs.propagate(spec, xs.werner(0.8).to_matrix(), 1e-3, 1000)
         assert leak > 1e-3
+
+    def test_rotated_spec_matches_unrotated_trajectory(self):
+        plain = xs.LindbladSpec.from_rates(
+            [pauli_string_matrix("ZI"), pauli_string_matrix("XI")], [1.0, 1.0]
+        )
+        x0 = xs.validate(0.4, 0.3, 0.2, 0.1, z=0.2, w=0.15)
+        a = xs.evolve(plain, x0, dt=1e-3, t_max=0.5, sample_every=50)
+        b = xs.evolve(rotated_zi_xi_spec(), x0, dt=1e-3, t_max=0.5, sample_every=50)
+        for sa, sb in zip(a.states, b.states):
+            assert np.abs(sa.to_matrix() - sb.to_matrix()).max() < 1e-12
+        assert b.measures["concurrence"] == pytest.approx(a.measures["concurrence"], abs=1e-12)
+
+    def test_non_finite_times_rejected(self):
+        spec = xs.LindbladSpec(operators=(), coupling=np.zeros((0, 0)))
+        for dt, t_max in ((float("nan"), 1.0), (float("inf"), 1.0), (1e-3, float("inf"))):
+            with pytest.raises(ValueError):
+                xs.evolve(spec, xs.werner(0.5), dt=dt, t_max=t_max)
 
     def test_homogeneous_off_x_dissipator_is_preserving(self):
         # bit-flip noise on A: off-X grade, but off.X.off lands back on X

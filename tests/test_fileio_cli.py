@@ -290,3 +290,76 @@ class TestCheckCommand:
         path = tmp_path / "lb.json"
         path.write_text(json.dumps(obj))
         assert run_cli("check", "--in", str(path)) == 0
+
+
+class TestMalformedInput:
+    """Malformed files exit 2 with one line on stderr, never as a verdict."""
+
+    @staticmethod
+    def run(tmp_path, command, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        extra = ["--out", str(tmp_path / "out.csv")] if command == "evolve" else []
+        return run_cli(command, "--in", str(path), *extra)
+
+    @pytest.mark.parametrize("command", ["measures", "evolve", "check"])
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"ZI"', "null"])
+    def test_non_object_exits_2(self, tmp_path, capsys, command, text):
+        assert self.run(tmp_path, command, text) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be a JSON object" in err
+
+    @pytest.mark.parametrize("command, text", [
+        ("measures", '{"a": [1], "b": 0, "c": 0, "d": 0}'),
+        ("evolve", '{"initial_state": {"a": 1, "b": 0, "c": 0, "d": 0}, '
+                   '"dt": 0.001, "t_max": 0.01, "operators": 5}'),
+        ("evolve", '{"initial_state": {"a": 1, "b": 0, "c": 0, "d": 0}, '
+                   '"dt": 0.001, "t_max": 0.01, "sample_every": [10]}'),
+        ("check", '{"kraus": 5}'),
+        ("check", '{"kraus": [[1, 2]]}'),
+        ("check", '{"lindblad": {"operators": ["ZI"], "rates": 1}}'),
+    ])
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, command, text):
+        assert self.run(tmp_path, command, text) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("state", [
+        {"a": float("nan"), "b": 0.25, "c": 0.25, "d": 0.25},
+        {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25, "z": {"re": float("nan"), "im": 0.0}},
+        {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25, "w": {"re": 0.0, "im": float("inf")}},
+        {"matrix": [[[0.25, 0]] * 4] * 3 + [[[float("nan"), 0]] * 4]},
+    ])
+    def test_non_finite_state_exits_2(self, tmp_path, capsys, state):
+        assert self.run(tmp_path, "measures", json.dumps(state)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+    def test_nan_kraus_entry_exits_2(self, tmp_path, capsys):
+        k = np.eye(4).tolist()
+        k[0][3] = float("nan")
+        assert self.run(tmp_path, "check", json.dumps({"kraus": [k]})) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("overrides", [
+        {"rates": [float("nan")]},
+        {"h": [[float("nan")]]},
+        {"operators": [{"ZI": float("inf")}]},
+        {"initial_state": {"a": 0.5, "b": 0.0, "c": 0.0, "d": 0.5,
+                           "w": {"re": float("nan"), "im": 0.0}}},
+        {"initial_state": 5},
+        {"t_max": float("inf")},
+    ])
+    def test_non_finite_dynamics_config_exits_2(self, tmp_path, capsys, overrides):
+        cfg = {
+            "initial_state": {"a": 0.5, "b": 0.0, "c": 0.0, "d": 0.5},
+            "operators": ["ZI"],
+            "dt": 1e-3,
+            "t_max": 0.01,
+        }
+        cfg.update(overrides)
+        if "h" not in overrides:
+            cfg.setdefault("rates", [1.0])
+        assert self.run(tmp_path, "evolve", json.dumps(cfg)) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()

@@ -1,5 +1,5 @@
-"""Closed-form spectra against dense numerical routes, entropies, marginals,
-partial transposition, and the Jacobi eigensolver."""
+"""Closed-form spectra against dense numerical routes, entropies, marginals
+and partial transposition."""
 
 import math
 
@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 import xstates as xs
-from xstates import _kernels
-from xstates.errors import NotHermitian
 from conftest import dense_entropy, dense_partial_transpose, random_states
 
 
@@ -57,10 +55,10 @@ class TestEigendecompose:
             rec = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
             assert np.abs(rec - x.to_matrix()).max() < 1e-10
 
-    def test_matches_jacobi_on_dense_matrix(self, corpus_small):
+    def test_matches_dense_eigvalsh(self, corpus_small):
         for x in corpus_small[:200]:
             closed = xs.eigendecompose(x).eigenvalues
-            numeric = xs.hermitian_eigen(x.to_matrix())[0]
+            numeric = np.linalg.eigvalsh(x.to_matrix())[::-1]
             assert np.abs(closed - numeric).max() < 1e-10
 
 
@@ -158,41 +156,3 @@ class TestPartialTranspose:
         for x in corpus_small:
             pt = xs.partial_transpose(x)
             assert int((pt.eigenvalues < -1e-10).sum()) <= 1
-
-
-class TestHermitianEigen:
-    def test_diagonal_matrix(self):
-        vals, vecs = xs.hermitian_eigen(np.diag([1.0, 3.0, 2.0]).astype(complex))
-        assert vals == pytest.approx([3.0, 2.0, 1.0])
-        rec = (vecs * vals) @ vecs.conj().T
-        assert np.abs(rec - np.diag([1.0, 3.0, 2.0])).max() < 1e-12
-
-    def test_sigma_x(self):
-        vals, _ = xs.hermitian_eigen(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert vals == pytest.approx([1.0, -1.0], abs=1e-13)
-
-    def test_random_15x15_reconstruction(self):
-        rng = np.random.default_rng(0)
-        g = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
-        h = 0.5 * (g + g.conj().T)
-        vals, vecs = xs.hermitian_eigen(h)
-        assert np.abs((vecs * vals) @ vecs.conj().T - h).max() < 1e-10
-        assert np.abs(vecs.conj().T @ vecs - np.eye(15)).max() < 1e-10
-        assert np.abs(np.sort(vals) - np.linalg.eigvalsh(h)).max() < 1e-10
-
-    def test_jacobi_matches_numpy_eigh(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 4, 8, 15):
-            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            h = 0.5 * (g + g.conj().T)
-            vals, vecs = _kernels.jacobi_eigh(h)
-            assert np.abs(np.sort(vals) - np.linalg.eigvalsh(h)).max() < 1e-10
-            assert np.abs((vecs * vals) @ vecs.conj().T - h).max() < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            xs.hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_oversized(self):
-        with pytest.raises(ValueError):
-            xs.hermitian_eigen(np.eye(17, dtype=complex))
