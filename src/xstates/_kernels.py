@@ -71,7 +71,7 @@ def scan_levels(grid: int) -> int:
 def min_conditional_entropy(a, b, c, d, z, w, grid=64):
     """Minimum of the measured conditional entropy of phase-normalised
     states, where ``a, b, c, d`` and the real, non-negative coherences
-    ``z, w`` are arrays of shape ``(n,)``.
+    ``z, w`` are floats or equal-shape arrays.
 
     For such states the minimum over phi lies at phi = 0, and the entropy is
     symmetric under theta -> pi/2 - theta, so only theta in [0, pi/4] is
@@ -80,33 +80,33 @@ def min_conditional_entropy(a, b, c, d, z, w, grid=64):
     around the best one so far, until the spacing is below ``THETA_TOL``
     (:func:`scan_levels` scans in all). ``grid`` thus sets which basin the
     search settles in, not how precisely it resolves it. Returns the minima
-    and their angles theta, both of shape ``(n,)``.
+    and their angles theta, both of the parameters' shape.
     """
     levels = scan_levels(grid)
-    a, b, c, d, z, w = (np.asarray(p, dtype=float)[:, None] for p in (a, b, c, d, z, w))
+    # the angles of each scan run along a new last axis
+    a, b, c, d, z, w = (np.asarray(p, dtype=float)[..., None] for p in (a, b, c, d, z, w))
     # conditional_entropy at phi = 0, where the coherence term is (z + w)^2
     sums = _sums(a, b, c, d, (z + w) ** 2)
-    rows = np.arange(a.shape[0])
     lo = np.zeros_like(a)
     width = np.full_like(a, 0.25 * math.pi)
-    best_v = np.full(a.shape[0], np.inf)
-    best_t = np.zeros(a.shape[0])
+    best_v = np.full(a.shape[:-1], np.inf)
+    best_t = np.zeros(a.shape[:-1])
     frac = np.linspace(0.0, 1.0, grid)
     for _ in range(levels):
         theta = lo + width * frac
         vals = _conditional_entropy_sums(*sums, theta)
-        k = np.argmin(vals, axis=1)
-        level_v = vals[rows, k]
+        k = np.argmin(vals, axis=-1)[..., None]
+        level_v = np.take_along_axis(vals, k, axis=-1)[..., 0]
         # keep the best so far: a rescan may miss the bracket's centre
         better = level_v < best_v
         best_v = np.where(better, level_v, best_v)
-        best_t = np.where(better, theta[rows, k], best_t)
-        step = width[:, 0] / (frac.size - 1)
+        best_t = np.where(better, np.take_along_axis(theta, k, axis=-1)[..., 0], best_t)
+        step = width[..., 0] / (frac.size - 1)
         new_lo = np.maximum(best_t - step, 0.0)
-        width = (np.minimum(best_t + step, 0.25 * math.pi) - new_lo)[:, None]
-        lo = new_lo[:, None]
+        width = (np.minimum(best_t + step, 0.25 * math.pi) - new_lo)[..., None]
+        lo = new_lo[..., None]
         frac = _REFINE_FRAC
-    return best_v, best_t
+    return best_v[()], best_t[()]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .measures import concurrence, report
 from .oracle import approx_error_campaign
-from .core import random_xstate
+from .core import random_xstate, stack
 
 EXIT_OK = 0
 EXIT_NOT_PRESERVING_VERDICT = 1
@@ -80,23 +80,27 @@ def _cmd_measures(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if args.out:
+    if not args.out:
+        sys.stdout.write(
+            fileio.dumps(rep) + "\n" if args.format == "json" else fileio.report_to_csv(rep)
+        )
+        return EXIT_OK
+    try:
         fileio.save_report(args.out, rep, fmt=args.format)
         _write_manifest(
             args.out,
             _manifest(args, "measures", [args.out], started, extra={"side": args.side}),
         )
-    else:
-        sys.stdout.write(
-            fileio.dumps(rep) + "\n" if args.format == "json" else fileio.report_to_csv(rep)
-        )
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 
 def _cmd_gen(args) -> int:
     started = time.monotonic()
     states = [random_xstate(args.seed, i) for i in range(args.n)]
-    entangled = sum(1 for x in states if concurrence(x) > 0.0)
+    entangled = int((concurrence(stack(states)) > 0.0).sum())
     try:
         fileio.save_corpus(args.out, states)
     except OSError as exc:

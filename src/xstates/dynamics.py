@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels, measures, spectral
-from .core import X_PATTERN, XState, from_matrix
+from .core import X_MASK, XState, from_matrix, stack
 from .errors import (
     CompletenessViolated,
     InvalidCoupling,
@@ -44,9 +44,6 @@ SIGMA = (
 )
 PAULI_LABELS = "IXYZ"
 
-X_MASK = np.zeros((4, 4), dtype=bool)
-for _pos in X_PATTERN:
-    X_MASK[_pos] = True
 X_VEC = X_MASK.reshape(16)  # the X pattern in vec(rho) coordinates
 _I4 = np.eye(4, dtype=np.complex128)
 
@@ -323,7 +320,7 @@ _TRAJECTORY_MEASURES = {
     "concurrence": measures.concurrence,
     "negativity": measures.negativity,
     "purity": spectral.purity,
-    "entropy": lambda x: spectral.entropy(spectral.eigendecompose(x)),
+    "entropy": lambda x: spectral.entropy(spectral.eigenvalues(x)),
     "fef": measures.fef,
     "mid": measures.mid,
     "approx_discord": lambda x: measures.approx_discord(x).q,
@@ -378,9 +375,9 @@ def evolve(
     applied, so a sample at ``step * dt`` is P^step applied to ``x0``. At
     each sample the trace must stay within 1e-9 of one and the off-pattern
     leakage below ``leakage_tol`` (raises :class:`StepRejected` otherwise);
-    the sample is projected onto the X pattern and the requested measures
-    are recorded. Raises :class:`NotPreserving` when the generator fails
-    :func:`check_lindblad`.
+    the sample is projected onto the X pattern. The requested measures are
+    then recorded on all samples as one batch. Raises :class:`NotPreserving`
+    when the generator fails :func:`check_lindblad`.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -402,7 +399,6 @@ def evolve(
     vec = x0.to_matrix().reshape(16)
     times = [0.0]
     states = [x0]
-    recorded = {name: [_TRAJECTORY_MEASURES[name](x0)] for name in record}
     max_leak = 0.0
     done = 0
     for n in [*range(sample_every, steps, sample_every), steps]:
@@ -414,12 +410,11 @@ def evolve(
         max_leak = max(max_leak, leak)
         times.append(n * dt)
         states.append(state)
-        for name in record:
-            recorded[name].append(_TRAJECTORY_MEASURES[name](state))
+    samples = stack(states)
     return Trajectory(
         times=np.array(times),
         states=tuple(states),
-        measures={name: np.array(vals) for name, vals in recorded.items()},
+        measures={name: _TRAJECTORY_MEASURES[name](samples) for name in record},
         max_leakage=max_leak,
         spec=spec,
         dt=dt,
@@ -448,7 +443,7 @@ def esd_time(
     if "concurrence" in traj.measures:
         conc = traj.measures["concurrence"]
     else:
-        conc = np.array([measures.concurrence(s) for s in traj.states])
+        conc = measures.concurrence(stack(traj.states))
     n = len(conc)
     hit = None
     for i in range(n):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import tempfile
 
@@ -33,6 +34,8 @@ def _emit(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize the non-finite number {obj!r}")
         return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -45,7 +48,8 @@ def _emit(obj) -> str:
 
 
 def dumps(obj) -> str:
-    """JSON text with floats at 17 significant digits."""
+    """JSON text with floats at 17 significant digits; NaN and infinities
+    raise ValueError, since JSON has no token for them."""
     return _emit(obj)
 
 

@@ -2,8 +2,9 @@
 conditional entropy over rank-1 projective measurements.
 
 This module is the independent check for every analytic or approximate
-discord expression in :mod:`xstates.measures`: it shares no code path with
-them beyond the state type.
+discord expression in :mod:`xstates.measures`: its minimisation shares no
+code with them. Only the final bookkeeping, Q, C and I from the state's
+entropies and the minimal conditional entropy, is the same helper.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import XState, normalize_phases, random_xstate
-from .measures import _h2, approx_discord
-from .spectral import eigendecompose, entropy
+from .core import XState, random_xstate, stack
+from .measures import _check_side, _correlations, _entropies, approx_discord
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of one conditional-entropy minimization. ``theta`` and
+    """Outcome of one conditional-entropy minimization (for a batch, the
+    float fields are arrays over the states). ``theta`` and
     ``phi`` give the optimal basis for the phase-normalised state, so
     ``phi`` is 0.0; ``refinement_iterations`` counts the scans of the
     search, :func:`_kernels.scan_levels` of ``grid``."""
@@ -52,51 +53,23 @@ class OracleResult:
     side: str
 
 
-def conditional_entropy(x: XState, basis: MeasurementBasis, side: str = "B") -> float:
+def conditional_entropy(x: XState, basis: MeasurementBasis, side: str = "B"):
     """Average post-measurement entropy of the unmeasured qubit (bits).
 
     Measures ``side`` in ``basis``; outcomes with probability below 1e-14
     contribute nothing.
     """
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    _check_side(side)
     st = x if side == "B" else x.swap_qubits()
-    z, w = complex(st.z), complex(st.w)
-    return float(_kernels.conditional_entropy(
-        st.a, st.b, st.c, st.d, z.real, z.imag, w.real, w.imag, basis.theta, basis.phi
-    ))
-
-
-def _oracle_batch(states, side: str, grid: int) -> list:
-    """:func:`discord_oracle` for each of ``states``, with one batched
-    minimization."""
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    # local phases shift the optimal phi but not the minimum
-    normed = [normalize_phases(x if side == "B" else x.swap_qubits()).state for x in states]
-    params = np.array([(s.a, s.b, s.c, s.d, s.z.real, s.w.real) for s in normed])
-    ce_min, theta = _kernels.min_conditional_entropy(*params.T, grid=grid)
-    results = []
-    for st, ce, th in zip(normed, ce_min.tolist(), theta.tolist()):
-        s_full = entropy(eigendecompose(st))
-        s_measured = _h2(st.a + st.c)
-        s_other = _h2(st.a + st.b)
-        results.append(OracleResult(
-            q_min=s_measured - s_full + ce,
-            theta=th,
-            phi=0.0,
-            grid=grid,
-            refinement_iterations=_kernels.scan_levels(grid),
-            min_conditional_entropy=ce,
-            classical_correlation=s_other - ce,
-            mutual_information=s_other + s_measured - s_full,
-            side=side,
-        ))
-    return results
+    return _kernels.conditional_entropy(
+        st.a, st.b, st.c, st.d, st.z.real, st.z.imag, st.w.real, st.w.imag,
+        basis.theta, basis.phi,
+    )
 
 
 def discord_oracle(x: XState, side: str = "B", grid: int = 64) -> OracleResult:
-    """Discord from exhaustive search over projective measurements.
+    """Discord from exhaustive search over projective measurements, for a
+    state or, with one batched minimisation, for each state of a batch.
 
     After phase normalisation the search is exactly one-dimensional: theta
     in [0, pi/4] at phi = 0 (see :func:`_kernels.min_conditional_entropy`),
@@ -104,17 +77,28 @@ def discord_oracle(x: XState, side: str = "B", grid: int = 64) -> OracleResult:
     approximate discord. Deterministic for fixed parameters. Measuring side
     A is the b <-> c swapped problem.
     """
-    return _oracle_batch([x], side, grid)[0]
-
-
-def classical_correlation_oracle(x: XState, side: str = "B", grid: int = 64) -> float:
-    """Maximized measurement-induced mutual information; shares the
-    optimizer run with :func:`discord_oracle`, so Q + C = I exactly."""
-    return discord_oracle(x, side=side, grid=grid).classical_correlation
+    _check_side(side)
+    st = x if side == "B" else x.swap_qubits()
+    # local phases shift the optimal phi but not the minimum
+    ce, theta = _kernels.min_conditional_entropy(
+        st.a, st.b, st.c, st.d, st.abs_z, st.abs_w, grid=grid
+    )
+    q, cc, mi = _correlations(_entropies(x), side, ce)
+    return OracleResult(
+        q_min=q,
+        theta=theta,
+        phi=0.0,
+        grid=grid,
+        refinement_iterations=_kernels.scan_levels(grid),
+        min_conditional_entropy=ce,
+        classical_correlation=cc,
+        mutual_information=mi,
+        side=side,
+    )
 
 
 CAMPAIGN_THRESHOLDS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-# states per batched oracle call: batches this small keep the scan's
+# states per batch: batches this small keep the oracle scan's
 # (states x grid) arrays in cache; must divide the progress interval, 1000
 CAMPAIGN_CHUNK = 100
 
@@ -154,9 +138,8 @@ def approx_error_campaign(n: int, seed: int = 1, grid: int = 64, progress=None) 
     errs = np.empty(n)
     for start in range(0, n, CAMPAIGN_CHUNK):
         stop = min(start + CAMPAIGN_CHUNK, n)
-        states = [random_xstate(seed, i) for i in range(start, stop)]
-        results = _oracle_batch(states, "B", grid)
-        errs[start:stop] = [abs(approx_discord(x).q - r.q_min) for x, r in zip(states, results)]
+        states = stack([random_xstate(seed, i) for i in range(start, stop)])
+        errs[start:stop] = abs(approx_discord(states).q - discord_oracle(states, grid=grid).q_min)
         if progress is not None and stop % 1000 == 0:
             progress(stop)
     fractions = tuple(float((errs > t).mean()) for t in CAMPAIGN_THRESHOLDS)

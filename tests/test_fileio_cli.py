@@ -46,6 +46,11 @@ class TestStateFiles:
         assert json.loads(text)["x"] == 1.0 / 3.0
         assert "0.33333333333333331" in text
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.nan])
+    def test_non_finite_floats_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            fileio.dumps({"x": [0.5, value]})
+
 
 class TestOperatorParsing:
     def test_pauli_string(self):
@@ -112,6 +117,15 @@ class TestMeasuresCommand:
         assert rep["side"] == "A"
         assert rep["approx_discord"] == pytest.approx(xs.approx_discord(x, side="A").q)
         assert rep["approx_discord"] != pytest.approx(xs.approx_discord(x, side="B").q)
+
+    def test_missing_output_directory_exits_3(self, tmp_path, capsys):
+        state = tmp_path / "s.json"
+        fileio.save_state(str(state), xs.werner(0.5))
+        out = tmp_path / "missing" / "r.json"
+        assert run_cli("measures", "--in", str(state), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("i/o error: ")
+        assert not out.parent.exists()
 
     def test_invalid_state_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

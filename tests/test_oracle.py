@@ -231,15 +231,15 @@ class TestOneAngleReduction:
 
 class TestClassicalCorrelation:
     def test_bell(self):
-        assert xs.classical_correlation_oracle(xs.bell(0)) == pytest.approx(1.0, abs=1e-9)
+        assert xs.discord_oracle(xs.bell(0)).classical_correlation == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_diagonal(self):
-        assert xs.classical_correlation_oracle(xs.werner(0.0)) == pytest.approx(
+        assert xs.discord_oracle(xs.werner(0.0)).classical_correlation == pytest.approx(
             0.0, abs=1e-9
         )
 
     def test_werner(self):
-        assert xs.classical_correlation_oracle(xs.werner(0.5)) == pytest.approx(
+        assert xs.discord_oracle(xs.werner(0.5)).classical_correlation == pytest.approx(
             0.18872187554086717, abs=1e-6
         )
 

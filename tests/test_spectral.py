@@ -1,4 +1,4 @@
-"""Closed-form spectra against dense numerical routes, entropies, marginals
+"""Closed-form eigenvalues against dense numerical routes, entropies, marginals
 and partial transposition."""
 
 import math
@@ -10,78 +10,62 @@ import xstates as xs
 from conftest import dense_entropy, dense_partial_transpose, random_states
 
 
+def spectrum(x) -> np.ndarray:
+    """The closed-form eigenvalues in descending order."""
+    return np.sort(xs.eigenvalues(x))[::-1]
+
+
 class TestEigendecompose:
+    """The closed-form eigenvalues (the spectrum; no eigenvectors)."""
+
     def test_bell_spectrum(self):
-        dec = xs.eigendecompose(xs.bell(0))
-        assert dec.eigenvalues == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
+        assert spectrum(xs.bell(0)) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
 
     def test_werner_spectrum(self):
-        dec = xs.eigendecompose(xs.werner(0.5))
-        assert dec.eigenvalues == pytest.approx([0.625, 0.125, 0.125, 0.125], abs=1e-15)
-        assert dec.u_plus == pytest.approx(0.375)
-        assert dec.blocks[0] == "ad"
-
-    def test_degenerate_ad_block_vectors(self):
-        x = xs.validate(0.3, 0.2, 0.2, 0.3, z=0.1)
-        dec = xs.eigendecompose(x)
-        # w = 0 with a = d: the ad-block pairs must be |00> and |11>
-        ad_cols = [dec.vectors[:, i] for i in range(4) if dec.blocks[i] == "ad"]
-        supports = sorted(int(np.argmax(np.abs(v))) for v in ad_cols)
-        assert supports == [0, 3]
-        for v in ad_cols:
-            assert np.abs(v).max() == pytest.approx(1.0)
+        lam = xs.eigenvalues(xs.werner(0.5))
+        assert np.sort(lam)[::-1] == pytest.approx([0.625, 0.125, 0.125, 0.125], abs=1e-15)
+        # block order: span{|00>, |11>} first
+        assert lam[0] == pytest.approx(0.625, abs=1e-15)
 
     def test_no_degenerate_formula_cancellation(self):
-        # w = 0 but a != d must also return computational vectors
+        # w = 0 but a != d: the ad block returns the populations themselves
         x = xs.validate(0.6, 0.1, 0.1, 0.2, z=0.05)
-        dec = xs.eigendecompose(x)
-        i_ad = [i for i in range(4) if dec.blocks[i] == "ad"]
-        assert dec.eigenvalues[i_ad[0]] == pytest.approx(0.6)
-        assert abs(dec.vectors[0, i_ad[0]]) == pytest.approx(1.0)
+        assert xs.eigenvalues(x)[:2] == pytest.approx([0.6, 0.2], abs=1e-15)
 
-    def test_reconstruction_and_orthonormality(self, corpus_small):
-        for x in corpus_small[:200]:
-            dec = xs.eigendecompose(x)
-            v = dec.vectors
-            rec = (v * dec.eigenvalues) @ v.conj().T
-            assert np.abs(rec - x.to_matrix()).max() < 1e-10
-            assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-10
-            assert dec.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
-            assert dec.eigenvalues.min() >= -1e-12
-
-    def test_complex_coherence_reconstruction(self):
+    def test_complex_coherence_matches_dense(self):
         for x in random_states(100, seed=31, complex_phases=True):
-            dec = xs.eigendecompose(x)
-            rec = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
-            assert np.abs(rec - x.to_matrix()).max() < 1e-10
+            numeric = np.linalg.eigvalsh(x.to_matrix())[::-1]
+            assert np.abs(spectrum(x) - numeric).max() < 1e-10
 
     def test_matches_dense_eigvalsh(self, corpus_small):
         for x in corpus_small[:200]:
-            closed = xs.eigendecompose(x).eigenvalues
+            lam = xs.eigenvalues(x)
             numeric = np.linalg.eigvalsh(x.to_matrix())[::-1]
-            assert np.abs(closed - numeric).max() < 1e-10
+            assert np.abs(np.sort(lam)[::-1] - numeric).max() < 1e-10
+            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+            assert lam.min() >= -1e-12
 
 
 class TestEntropyPurity:
     def test_bell_entropy_zero(self):
-        assert xs.entropy(xs.eigendecompose(xs.bell(2))) == 0.0
+        assert xs.entropy(xs.eigenvalues(xs.bell(2))) == 0.0
 
     def test_maximally_mixed_entropy_two(self):
-        assert xs.entropy(xs.eigendecompose(xs.werner(0.0))) == pytest.approx(2.0, abs=1e-12)
+        assert xs.entropy(xs.eigenvalues(xs.werner(0.0))) == pytest.approx(2.0, abs=1e-12)
 
     def test_werner_entropy(self):
-        s = xs.entropy(xs.eigendecompose(xs.werner(0.5)))
+        s = xs.entropy(xs.eigenvalues(xs.werner(0.5)))
         assert s == pytest.approx(1.5487949406953985, abs=1e-12)
 
     def test_entropy_matches_dense(self, corpus_small):
         for x in corpus_small[:100]:
-            s = xs.entropy(xs.eigendecompose(x))
+            s = xs.entropy(xs.eigenvalues(x))
             assert s == pytest.approx(dense_entropy(x.to_matrix()), abs=1e-9)
 
     def test_entropy_invariant_under_qubit_swap(self, corpus_small):
         for x in corpus_small[:100]:
-            assert xs.entropy(xs.eigendecompose(x)) == pytest.approx(
-                xs.entropy(xs.eigendecompose(x.swap_qubits())), abs=1e-12
+            assert xs.entropy(xs.eigenvalues(x)) == pytest.approx(
+                xs.entropy(xs.eigenvalues(x.swap_qubits())), abs=1e-12
             )
 
     def test_purity_values(self):
@@ -91,7 +75,7 @@ class TestEntropyPurity:
 
     def test_purity_equals_spectrum_square_sum(self, corpus_small):
         for x in corpus_small[:200]:
-            lam = xs.eigendecompose(x).eigenvalues
+            lam = xs.eigenvalues(x)
             assert xs.purity(x) == pytest.approx(float((lam**2).sum()), abs=1e-12)
 
 
@@ -133,7 +117,7 @@ class TestPartialTranspose:
 
     def test_bell_spectrum(self):
         pt = xs.partial_transpose(xs.bell(0))
-        assert pt.eigenvalues == pytest.approx([0.5, 0.5, 0.5, -0.5], abs=1e-15)
+        assert np.sort(pt.eigenvalues)[::-1] == pytest.approx([0.5, 0.5, 0.5, -0.5], abs=1e-15)
 
     def test_diagonal_state_unchanged_and_positive(self):
         x = xs.validate(0.4, 0.3, 0.2, 0.1)
@@ -150,7 +134,7 @@ class TestPartialTranspose:
         for x in corpus_small[:200]:
             pt = xs.partial_transpose(x)
             dense = np.linalg.eigvalsh(dense_partial_transpose(x.to_matrix()))[::-1]
-            assert np.abs(pt.eigenvalues - dense).max() < 1e-10
+            assert np.abs(np.sort(pt.eigenvalues)[::-1] - dense).max() < 1e-10
 
     def test_at_most_one_negative_eigenvalue(self, corpus_small):
         for x in corpus_small:
