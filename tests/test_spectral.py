@@ -15,6 +15,26 @@ def spectrum(x) -> np.ndarray:
     return np.sort(xs.eigenvalues(x))[::-1]
 
 
+def block_eigenvectors(x, lam) -> np.ndarray:
+    """Unit eigenvectors, as columns in the order of ``lam``, of the blocks
+    [[a, w], [w*, d]] on span{|00>, |11>} and [[b, z], [z*, c]] on
+    span{|01>, |10>}, for the eigenvalues ``lam`` of each block: of the two
+    solutions (q, l - p) and (l - s, q*) of [[p, q], [q*, s]] v = l v the
+    longer; a block that is a multiple of the identity takes the basis."""
+    v = np.zeros((4, 4), dtype=np.complex128)
+    for cols, rows, (p, s, q) in (
+        ((0, 1), (0, 3), (x.a, x.d, x.w)),
+        ((2, 3), (1, 2), (x.b, x.c, x.z)),
+    ):
+        for k, col in enumerate(cols):
+            l = lam[col]
+            u = max((np.array([q, l - p]), np.array([l - s, np.conj(q)])), key=np.linalg.norm)
+            n = np.linalg.norm(u)
+            u = u / n if n > 1e-14 else np.eye(2)[k]
+            v[list(rows), col] = u
+    return v
+
+
 class TestEigendecompose:
     """The closed-form eigenvalues (the spectrum; no eigenvectors)."""
 
@@ -37,13 +57,23 @@ class TestEigendecompose:
             numeric = np.linalg.eigvalsh(x.to_matrix())[::-1]
             assert np.abs(spectrum(x) - numeric).max() < 1e-10
 
+    def test_reconstruction_and_orthonormality(self, corpus_small):
+        # eigenvectors built from the closed-form eigenvalues, block by block
+        # in the documented order, must rebuild the state and be orthonormal
+        for x in corpus_small[:200]:
+            lam = xs.eigenvalues(x)
+            v = block_eigenvectors(x, lam)
+            rec = (v * lam) @ v.conj().T
+            assert np.abs(rec - x.to_matrix()).max() < 1e-10
+            assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-10
+            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+            assert lam.min() >= -1e-12
+
     def test_matches_dense_eigvalsh(self, corpus_small):
         for x in corpus_small[:200]:
             lam = xs.eigenvalues(x)
             numeric = np.linalg.eigvalsh(x.to_matrix())[::-1]
             assert np.abs(np.sort(lam)[::-1] - numeric).max() < 1e-10
-            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
-            assert lam.min() >= -1e-12
 
 
 class TestEntropyPurity:
