@@ -32,7 +32,7 @@ from .errors import (
 )
 from .measures import concurrence, report
 from .oracle import approx_error_campaign
-from .core import random_xstate, stack
+from .core import random_xstates, unstack
 
 EXIT_OK = 0
 EXIT_NOT_PRESERVING_VERDICT = 1
@@ -99,10 +99,10 @@ def _cmd_measures(args) -> int:
 
 def _cmd_gen(args) -> int:
     started = time.monotonic()
-    states = [random_xstate(args.seed, i) for i in range(args.n)]
-    entangled = int((concurrence(stack(states)) > 0.0).sum())
+    states = random_xstates(args.seed, 0, args.n)
+    entangled = int((concurrence(states) > 0.0).sum())
     try:
-        fileio.save_corpus(args.out, states)
+        fileio.save_corpus(args.out, unstack(states))
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -69,15 +69,14 @@ class XState:
 
     @property
     def abs_z(self):
-        """|z|, by hypot: rounded as Python's ``abs`` rounds a complex, for a
-        state and for a batch alike (``np.abs`` of a complex array differs
-        in the last bit for about a third of all values)."""
-        return np.hypot(self.z.real, self.z.imag)
+        """|z|, rounded as Python's ``abs`` rounds a complex, for a state and
+        for a batch alike."""
+        return _modulus(self.z)
 
     @property
     def abs_w(self):
         """|w|, rounded as :attr:`abs_z`."""
-        return np.hypot(self.w.real, self.w.imag)
+        return _modulus(self.w)
 
     @property
     def is_phase_normalized(self) -> bool:
@@ -151,6 +150,13 @@ class PhaseNormalized:
         )
 
 
+def _modulus(v):
+    # Python's abs of a complex is libm's hypot, as np.hypot is; np.abs of a
+    # complex array differs in the last bit for about a third of all values.
+    # On one Python number abs itself is the cheap route.
+    return abs(v) if type(v) in (complex, float) else np.hypot(v.real, v.imag)
+
+
 def validate(a, b, c, d, z=0j, w=0j) -> XState:
     """Check raw parameters and return a valid :class:`XState`.
 
@@ -209,6 +215,12 @@ def stack(states) -> XState:
         *(np.array([getattr(s, k) for s in states], dtype=float) for k in "abcd"),
         *(np.array([getattr(s, k) for s in states], dtype=np.complex128) for k in "zw"),
     )
+
+
+def unstack(batch: XState) -> list:
+    """The states of a batch, each with Python float and complex fields;
+    the inverse of :func:`stack`."""
+    return [XState(*f) for f in zip(*(getattr(batch, k).tolist() for k in "abcdzw"))]
 
 
 def from_matrix(m: np.ndarray) -> XState:
@@ -333,10 +345,58 @@ def bell_diagonal(c1: float, c2: float, c3: float) -> XState:
     )
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    # counter-based: one independent Philox stream per (seed, index)
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _streams(seed: int, indices):
+    """For each index, the generator at the start of the Philox stream with
+    key [seed, index] and counter 0: every random draw here is defined by
+    these streams. One generator is re-keyed for each index, so draw from it
+    before taking the next."""
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    for index in indices:
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,  # the buffer is spent, so the next draw starts at counter 0
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+def random_xstates(seed: int, start: int, stop: int, complex_phases: bool = False) -> XState:
+    """The states :func:`random_xstate` gives for ``(seed, i)``,
+    ``start <= i < stop``, as one batch (see :func:`stack`), bit for bit.
+
+    Each index draws four exponentials, two uniforms and, with
+    ``complex_phases``, two more uniforms from its own stream; the
+    normalisation and the coherence scaling run on whole arrays.
+    """
+    n = stop - start
+    e, u, turns = np.empty((n, 4)), np.empty((n, 2)), np.empty((n, 2))
+    for k, rng in enumerate(_streams(seed, range(start, stop))):
+        rng.standard_exponential(out=e[k])
+        rng.random(out=u[k])
+        if complex_phases:
+            rng.random(out=turns[k])
+    a, b, c, d = (e / e.sum(axis=1, keepdims=True)).T.copy()
+    zb, wb = np.sqrt(b * c), np.sqrt(a * d)
+    z, w = (u[:, 0] * zb).astype(complex), (u[:, 1] * wb).astype(complex)
+    if complex_phases:
+        turns = turns * 2.0 * math.pi
+        z, w = _rotated(z, turns[:, 0], zb), _rotated(w, turns[:, 1], wb)
+    # real coherences are u * bound with u < 1 and so within their bounds
+    return XState(a, b, c, d, z, w)
+
+
+def _rotated(v, turns, bound) -> np.ndarray:
+    """v e^{i turns}, one complex product per element as in Python, with a
+    modulus that rounds past ``bound`` clamped as :func:`validate` does."""
+    out = []
+    for x, t, b in zip(v.tolist(), turns.tolist(), bound.tolist()):
+        x *= cmath.exp(1j * t)
+        out.append(x * (b / abs(x)) if abs(x) > b else x)
+    return np.array(out, dtype=complex)
 
 
 def random_xstate(seed: int, index: int, complex_phases: bool = False) -> XState:
@@ -345,23 +405,15 @@ def random_xstate(seed: int, index: int, complex_phases: bool = False) -> XState
     Populations are uniform on the probability simplex (normalized
     exponentials); each coherence is a uniform fraction of its positivity
     bound. With ``complex_phases`` the coherences get uniform phases.
+    A batch of one of :func:`random_xstates`.
     """
-    rng = _stream(seed, index)
-    e = rng.standard_exponential(4)
-    a, b, c, d = e / e.sum()
-    u = rng.random(2)
-    z = complex(u[0] * math.sqrt(b * c))
-    w = complex(u[1] * math.sqrt(a * d))
-    if complex_phases:
-        ph = rng.random(2) * 2.0 * math.pi
-        z *= cmath.exp(1j * ph[0])
-        w *= cmath.exp(1j * ph[1])
-    return validate(a, b, c, d, z, w)
+    (x,) = unstack(random_xstates(seed, index, index + 1, complex_phases))
+    return x
 
 
 def random_pure(seed: int, index: int) -> PureCoefficients:
     """Deterministic Haar-random pure two-qubit state for ``(seed, index)``."""
-    rng = _stream(seed, index)
+    rng = next(_streams(seed, (index,)))
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     return PureCoefficients(*(complex(c) for c in v))

@@ -24,7 +24,40 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _KeyCache(dict):
+    """Encodings of dict keys with their separator, ``_KEYS[k]``. Reports
+    and states repeat a few string keys, so up to 1024 of them are kept;
+    other keys are encoded each time (1, 1.0 and True are equal as dict
+    keys but encode differently)."""
+
+    def __missing__(self, k) -> str:
+        encoded = json.dumps(str(k)) + ": "
+        if type(k) is str and len(self) < 1024:
+            self[k] = encoded
+        return encoded
+
+
+_KEYS = _KeyCache()
+
+
 def _emit(obj) -> str:
+    # exact floats, dicts, lists and strings first: report and state dicts
+    # hold little else. A float is formatted in place when it is finite
+    # (x - x is NaN for NaN and infinities); otherwise _emit refuses it.
+    t = type(obj)
+    if t is float and obj - obj == 0.0:
+        return "%.17g" % obj
+    if t is dict:
+        return "{" + ", ".join([
+            _KEYS[k] + ("%.17g" % v if type(v) is float and v - v == 0.0 else _emit(v))
+            for k, v in obj.items()
+        ]) + "}"
+    if t is list:
+        return "[" + ", ".join([
+            "%.17g" % v if type(v) is float and v - v == 0.0 else _emit(v) for v in obj
+        ]) + "]"
+    if t is str:
+        return json.dumps(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -40,10 +73,9 @@ def _emit(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
-        return "{" + items + "}"
+        return "{" + ", ".join([_KEYS[k] + _emit(v) for k, v in obj.items()]) + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
+        return "[" + ", ".join([_emit(v) for v in obj]) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

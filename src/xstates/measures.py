@@ -5,17 +5,25 @@ classical correlations, and the measurement-induced disturbance."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import FanoParams, XState, normalize_phases, to_fano
+from .core import FanoParams, XState, to_fano
 from .errors import NotMMM, UnnormalizedPhases
-from .spectral import eigenvalues, entropy, partial_transpose
+from .spectral import _block_spectrum, entropy
 
 SCHMIDT_THRESHOLD = 1e-10
 MMM_TOL = 1e-10
+_TWO_SQRT2 = 2.0 * np.sqrt(2.0)
+
+
+def _moduli(x: XState) -> XState:
+    """``x`` with each coherence replaced by its modulus. Every measure here
+    is unchanged by local phases, so it reads only these six numbers; on
+    one state they are Python floats, whose moduli cost no hypot."""
+    return XState(x.a, x.b, x.c, x.d, x.abs_z, x.abs_w)
 
 
 def concurrence(x: XState):
@@ -31,7 +39,10 @@ def negativity(x: XState):
     Zero exactly when |z| <= sqrt(ad) and |w| <= sqrt(bc), i.e. when the
     state is separable.
     """
-    return np.maximum(-partial_transpose(x).eigenvalues.min(axis=0), 0.0)
+    # the spectrum of spectral.partial_transpose (|z| and |w| exchanged);
+    # its least eigenvalue is the lesser of the two blocks' lower ones
+    _, u_minus, _, r_minus = _block_spectrum(x.a, x.b, x.c, x.d, x.abs_w, x.abs_z)
+    return np.maximum(-np.minimum(u_minus, r_minus), 0.0)
 
 
 def fef(x: XState):
@@ -72,8 +83,8 @@ def _schmidt(f: FanoParams) -> SchmidtSpectrum:
     s = np.array([
         0.5 * abs(f.C1),
         0.5 * abs(f.C2),
-        np.sqrt(np.maximum(q + root, 0.0)) / (2.0 * np.sqrt(2.0)),
-        np.sqrt(np.maximum(q - root, 0.0)) / (2.0 * np.sqrt(2.0)),
+        np.sqrt(np.maximum(q + root, 0.0)) / _TWO_SQRT2,
+        np.sqrt(np.maximum(q - root, 0.0)) / _TWO_SQRT2,
     ])
     return SchmidtSpectrum(np.sort(s, axis=0)[::-1])
 
@@ -112,8 +123,7 @@ def geometric_discord_fano(f: FanoParams, side: str = "A", variant: str = "gener
 def geometric_discord(x: XState, side: str = "A", variant: str = "general"):
     """Squared Hilbert-Schmidt distance to the nearest zero-discord state
     (measurement on ``side``)."""
-    f = to_fano(normalize_phases(x).state)
-    return geometric_discord_fano(f, side=side, variant=variant)
+    return geometric_discord_fano(to_fano(_moduli(x)), side=side, variant=variant)
 
 
 class _Entropies(NamedTuple):
@@ -121,18 +131,32 @@ class _Entropies(NamedTuple):
     diag: float  # S(diag(a, b, c, d))
     a: float  # S(rho_A)
     b: float  # S(rho_B)
+    n1: float  # N1 of approx_discord for the measured side
+    mmm: float  # H((1 + c)/2) of mmm_discord, c = max|C_i|
 
 
-def _entropies(x: XState) -> _Entropies:
-    """The four entropies the discord family needs, from one -p log2 p pass
-    over the padded distributions (terms on axis 0, distributions on axis 1)."""
-    pa, pb, zero = x.a + x.b, x.a + x.c, 0.0 * x.a
+def _entropies(m: XState, f: FanoParams, side: str) -> _Entropies:
+    """Every entropy the discord family needs, of the state ``m`` from
+    :func:`_moduli` with Fano coordinates ``f`` and ``side`` measured, from
+    one -p log2 p pass over the zero-padded distributions (terms on axis 0,
+    distributions on axis 1)."""
+    bc = m.b - m.c if side == "B" else m.c - m.b
+    root = np.minimum(np.sqrt((m.a - m.d + bc) ** 2 + 4.0 * (m.abs_z + m.abs_w) ** 2), 1.0)
+    c = np.maximum(np.maximum(abs(f.C1), abs(f.C2)), abs(f.C3))
+    pa, pb, zero = m.a + m.b, m.a + m.c, 0.0 * m.a
     return _Entropies(*entropy(np.array([
-        eigenvalues(x),
-        [x.a, x.b, x.c, x.d],
-        [pa, 1.0 - pa, zero, zero],
-        [pb, 1.0 - pb, zero, zero],
+        _block_spectrum(m.a, m.b, m.c, m.d, m.abs_z, m.abs_w),
+        (m.a, m.b, m.c, m.d),
+        (pa, 1.0 - pa, zero, zero),
+        (pb, 1.0 - pb, zero, zero),
+        (0.5 + 0.5 * root, 0.5 - 0.5 * root, zero, zero),
+        (0.5 * (1.0 + c), 0.5 * (1.0 - c), zero, zero),
     ]).swapaxes(0, 1)))
+
+
+def _state_entropies(x: XState, side: str) -> _Entropies:
+    m = _moduli(x)
+    return _entropies(m, to_fano(m), side)
 
 
 def _correlations(ent: _Entropies, side: str, ce):
@@ -152,9 +176,8 @@ def _is_mmm(f: FanoParams):
     return (abs(f.A3) <= MMM_TOL) & (abs(f.B3) <= MMM_TOL)
 
 
-def _mmm(f: FanoParams, ent: _Entropies):
-    c = np.maximum(np.maximum(abs(f.C1), abs(f.C2)), abs(f.C3))
-    return 1.0 + entropy([0.5 * (1.0 + c), 0.5 * (1.0 - c)]) - ent.full
+def _mmm(ent: _Entropies):
+    return 1.0 + ent.mmm - ent.full
 
 
 def mmm_discord(x: XState):
@@ -165,10 +188,11 @@ def mmm_discord(x: XState):
     Raises :class:`NotMMM` unless A3 and B3 vanish (for every state of a
     batch).
     """
-    f = to_fano(normalize_phases(x).state)
+    m = _moduli(x)
+    f = to_fano(m)
     if not np.all(_is_mmm(f)):
         raise NotMMM(f"marginals not maximally mixed: A3={f.A3!r}, B3={f.B3!r}")
-    return _mmm(f, _entropies(x))
+    return _mmm(_entropies(m, f, "B"))
 
 
 class ApproxDiscord(NamedTuple):
@@ -187,26 +211,27 @@ def approx_discord(x: XState, side: str = "B") -> ApproxDiscord:
     Uses the two candidate measurement entropies
     N1 = H(1/2 + 1/2 sqrt((a-d+b-c)^2 + 4(|z|+|w|)^2)) and
     N2 = -sum_x x log2(x / marginal) = S(diag rho) - S(measured marginal);
-    the identity Q + C = I holds exactly by construction. Accurate to a few
-    1e-4 in the worst case.
+    the identity Q + C = I holds exactly by construction. Against the
+    brute-force oracle the error of random samples stays near 1e-4 to 1e-3
+    bits; a search found 2.938e-3 bits at a = 0.0289972371599611,
+    b = 0.943110617484378, c = 0.027503475642149514,
+    d = 0.0003886697135111858, z = 0.14135527749366156,
+    w = 4.12215082702831e-05, where the optimal angle is interior.
     """
     _check_side(side)
-    return _approx(x, side, _entropies(x))
+    return _approx(_state_entropies(x, side), side)
 
 
-def _approx(x: XState, side: str, ent: _Entropies) -> ApproxDiscord:
-    bc = x.b - x.c if side == "B" else x.c - x.b
-    root = np.minimum(np.sqrt((x.a - x.d + bc) ** 2 + 4.0 * (x.abs_z + x.abs_w) ** 2), 1.0)
-    n1 = entropy([0.5 + 0.5 * root, 0.5 - 0.5 * root])
+def _approx(ent: _Entropies, side: str) -> ApproxDiscord:
     n2 = ent.diag - (ent.b if side == "B" else ent.a)
-    q, cc, mi = _correlations(ent, side, np.minimum(n1, n2))
-    return ApproxDiscord(q, n1, n2, cc, mi, side)
+    q, cc, mi = _correlations(ent, side, np.minimum(ent.n1, n2))
+    return ApproxDiscord(q, ent.n1, n2, cc, mi, side)
 
 
 def mid(x: XState):
     """Measurement-induced disturbance with projectors in the sigma_z
     eigenbasis of the marginals: S(diag(a, b, c, d)) - S(rho)."""
-    ent = _entropies(x)
+    ent = _state_entropies(x, "B")
     return ent.diag - ent.full
 
 
@@ -237,21 +262,29 @@ class MeasureReport:
 
     def to_dict(self) -> dict:
         """Plain Python values (lists over the states for a batch)."""
-        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
+        # vars() holds the fields in their order
+        return {k: _plain(v) for k, v in vars(self).items()}
+
+
+def _plain(v):
+    if type(v) is np.float64:  # most fields of one state's report
+        return float(v)
+    return v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
 
 
 def report(x: XState, side: str = "B") -> MeasureReport:
-    """Aggregate every measure for a state or a batch; the entropies and
-    the Fano coordinates are computed once."""
+    """Aggregate every measure for a state or a batch; the coherence moduli,
+    the Fano coordinates and the entropies are computed once."""
     _check_side(side)
-    f = to_fano(normalize_phases(x).state)
-    ent = _entropies(x)
-    ad = _approx(x, side, ent)
+    m = _moduli(x)
+    f = to_fano(m)
+    ent = _entropies(m, f, side)
+    ad = _approx(ent, side)
     ss = _schmidt(f)
-    e = fef(x)
+    e = fef(m)
     return MeasureReport(
-        concurrence=concurrence(x),
-        negativity=negativity(x),
+        concurrence=concurrence(m),
+        negativity=negativity(m),
         fef=e,
         fef_fidelity=0.5 * (e + 1.0),
         schmidt_values=ss.values,
@@ -262,6 +295,6 @@ def report(x: XState, side: str = "B") -> MeasureReport:
         classical_correlation=ad.classical_correlation,
         mutual_information=ad.mutual_information,
         mid=ent.diag - ent.full,
-        mmm_discord=np.where(_is_mmm(f), _mmm(f, ent), None)[()],
+        mmm_discord=np.where(_is_mmm(f), _mmm(ent), None)[()],
         side=side,
     )

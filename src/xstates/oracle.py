@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import XState, random_xstate, stack
-from .measures import _check_side, _correlations, _entropies, approx_discord
+from .core import XState, random_xstates
+from .measures import _check_side, _correlations, _state_entropies, approx_discord
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def discord_oracle(x: XState, side: str = "B", grid: int = 64) -> OracleResult:
     ce, theta = _kernels.min_conditional_entropy(
         st.a, st.b, st.c, st.d, st.abs_z, st.abs_w, grid=grid
     )
-    q, cc, mi = _correlations(_entropies(x), side, ce)
+    q, cc, mi = _correlations(_state_entropies(x, side), side, ce)
     return OracleResult(
         q_min=q,
         theta=theta,
@@ -138,7 +138,7 @@ def approx_error_campaign(n: int, seed: int = 1, grid: int = 64, progress=None) 
     errs = np.empty(n)
     for start in range(0, n, CAMPAIGN_CHUNK):
         stop = min(start + CAMPAIGN_CHUNK, n)
-        states = stack([random_xstate(seed, i) for i in range(start, stop)])
+        states = random_xstates(seed, start, stop)
         errs[start:stop] = abs(approx_discord(states).q - discord_oracle(states, grid=grid).q_min)
         if progress is not None and stop % 1000 == 0:
             progress(stop)

@@ -35,11 +35,11 @@ class PartialTransposeResult:
     eigenvalues: np.ndarray
 
 
-def _block_spectrum(a, b, c, d, z_abs, w_abs) -> np.ndarray:
+def _block_spectrum(a, b, c, d, z_abs, w_abs) -> tuple:
     up, rp = 0.5 * (a + d), 0.5 * (b + c)
     su = np.hypot(0.5 * (a - d), w_abs)
     sr = np.hypot(0.5 * (b - c), z_abs)
-    return np.array([up + su, up - su, rp + sr, rp - sr])
+    return up + su, up - su, rp + sr, rp - sr
 
 
 def eigenvalues(x: XState) -> np.ndarray:
@@ -48,7 +48,7 @@ def eigenvalues(x: XState) -> np.ndarray:
     r+ +/- sqrt(r-^2 + |z|^2) on span{|01>, |10>}, with u+/- = (a +/- d)/2
     and r+/- = (b +/- c)/2. Shape ``(4,)`` plus the shape of a batch.
     """
-    return _block_spectrum(x.a, x.b, x.c, x.d, x.abs_z, x.abs_w)
+    return np.array(_block_spectrum(x.a, x.b, x.c, x.d, x.abs_z, x.abs_w))
 
 
 def entropy(p) -> np.ndarray:
@@ -56,8 +56,7 @@ def entropy(p) -> np.ndarray:
     probabilities along axis 0 of ``p``; of :func:`eigenvalues` it is the
     von Neumann entropy. Entries <= 0 contribute nothing."""
     p = np.asarray(p, dtype=float)
-    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
-    return -(p * logs).sum(axis=0)
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=0)
 
 
 def purity(x: XState):
@@ -83,7 +82,7 @@ def _qubit(p0) -> QubitState:
 def partial_transpose(x: XState) -> PartialTransposeResult:
     """Partial transpose over qubit A; its spectrum is the closed form of
     :func:`eigenvalues` with |z| and |w| exchanged."""
-    spectrum = _block_spectrum(x.a, x.b, x.c, x.d, x.abs_w, x.abs_z)
+    spectrum = np.array(_block_spectrum(x.a, x.b, x.c, x.d, x.abs_w, x.abs_z))
     return PartialTransposeResult(
         x.a, x.b, x.c, x.d, x.w.conjugate(), x.z.conjugate(), spectrum
     )

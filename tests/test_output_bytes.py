@@ -1,0 +1,104 @@
+"""Golden outputs: the sha256 of the bytes each CLI path writes.
+
+Each digest covers the output file and its manifest with the manifest's
+``duration_s`` value blanked, since that is a timing. The runs use paths
+relative to a temporary working directory, so the manifests' ``outputs`` are
+the same in every run. A changed digest means changed output bytes: a value
+that moved in its last bit, a reordered key or a different float format.
+
+The digests were made with numpy 2.4.6 on x86-64 with AVX-512, where numpy's
+``log2`` rounds as its SIMD kernel does; another platform may round some
+entropies differently in the last bit and so give other digests.
+"""
+
+import hashlib
+import json
+import re
+
+import pytest
+
+import xstates as xs
+from xstates import fileio
+from xstates.cli import main
+
+GEN_DIGEST = "0f17a79d09543e21a33e39a1f0bfeb2347db8a3ed58beb5a731dea6ce08ed91b"
+REPORT_DIGESTS = {
+    "A": "c70b82652e65d60398d312b967d9696580b59a7db9f125356cc696d3e0aa470c",
+    "B": "bd39562b6edb2225622ff94aeefeb72be95726727948a044cdb395d51d0f9f5d",
+}
+CAMPAIGN_DIGEST = "726fcf9df6a1d538a15d734e65815cb4ab134a2f78211a199d4a1073fa895f41"
+EVOLVE_DIGEST = "2aa1530d32452cb465be07d459d5efd7ff6153104a34c5480a110e0aea1bf5cf"
+
+_DURATION = re.compile(rb'"duration_s": [^,}]+')
+
+
+def digest(*paths) -> str:
+    """sha256 over the files, with every manifest's duration blanked."""
+    h = hashlib.sha256()
+    for path in paths:
+        raw = path.read_bytes()
+        if path.name.endswith(".manifest.json"):
+            raw, count = _DURATION.subn(b'"duration_s": null', raw)
+            assert count == 1
+        h.update(raw)
+    return h.hexdigest()
+
+
+def _lowering(qubit: int) -> list:
+    """|1><0| on one qubit as a nested [re, im] 4x4 matrix."""
+    m = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
+    for other in (0, 1):
+        src = (0, other) if qubit == 0 else (other, 0)
+        dst = (1, other) if qubit == 0 else (other, 1)
+        m[2 * dst[0] + dst[1]][2 * src[0] + src[1]] = [1.0, 0.0]
+    return m
+
+
+DAMPED_WERNER = {
+    # Werner state at eps = 0.8 under amplitude damping of both qubits: its
+    # entanglement dies at t = 0.75, so the manifest carries an esd_time
+    "initial_state": {"a": 0.45, "b": 0.05, "c": 0.05, "d": 0.45,
+                      "w": {"re": 0.4, "im": 0.0}},
+    "operators": [_lowering(0), _lowering(1)],
+    "rates": [1.0, 1.0],
+    "dt": 0.01,
+    "t_max": 1.0,
+    "sample_every": 5,
+    "measures": ["concurrence", "negativity"],
+}
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def test_gen(workdir):
+    assert main(["gen", "--n", "200", "--seed", "5", "--out", "corpus.jsonl"]) == 0
+    assert digest(workdir / "corpus.jsonl", workdir / "corpus.jsonl.manifest.json") == GEN_DIGEST
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_corpus_reports(workdir, side):
+    # the gen corpus, which has real coherences, and as many states with
+    # complex ones
+    assert main(["gen", "--n", "200", "--seed", "5", "--out", "corpus.jsonl"]) == 0
+    states = fileio.load_corpus("corpus.jsonl")
+    states += [xs.random_xstate(5, i, complex_phases=True) for i in range(200)]
+    lines = [fileio.dumps(xs.report(x, side=side).to_dict()) for x in states]
+    fileio.atomic_write("reports.jsonl", "\n".join(lines) + "\n")
+    assert digest(workdir / "reports.jsonl") == REPORT_DIGESTS[side]
+
+
+def test_validate_approx(workdir):
+    assert main(["validate-approx", "--n", "300", "--seed", "5", "--out", "stats.json"]) == 0
+    assert digest(workdir / "stats.json", workdir / "stats.json.manifest.json") == CAMPAIGN_DIGEST
+
+
+def test_evolve_damped_werner(workdir):
+    (workdir / "config.json").write_text(json.dumps(DAMPED_WERNER))
+    assert main(["evolve", "--in", "config.json", "--out", "traj.csv"]) == 0
+    manifest = json.loads((workdir / "traj.csv.manifest.json").read_text())
+    assert manifest["esd_time"] is not None
+    assert digest(workdir / "traj.csv", workdir / "traj.csv.manifest.json") == EVOLVE_DIGEST
