@@ -71,12 +71,12 @@ class XState:
     def abs_z(self):
         """|z|, rounded as Python's ``abs`` rounds a complex, for a state and
         for a batch alike."""
-        return _modulus(self.z)
+        return _hypot(self.z.real, self.z.imag)
 
     @property
     def abs_w(self):
         """|w|, rounded as :attr:`abs_z`."""
-        return _modulus(self.w)
+        return _hypot(self.w.real, self.w.imag)
 
     @property
     def is_phase_normalized(self) -> bool:
@@ -150,11 +150,14 @@ class PhaseNormalized:
         )
 
 
-def _modulus(v):
-    # Python's abs of a complex is libm's hypot, as np.hypot is; np.abs of a
-    # complex array differs in the last bit for about a third of all values.
-    # On one Python number abs itself is the cheap route.
-    return abs(v) if type(v) in (complex, float) else np.hypot(v.real, v.imag)
+def _hypot(x, y):
+    """sqrt(x^2 + y^2) for numbers or arrays, rounded as libm's ``hypot``,
+    which np.hypot and Python's ``abs`` of a complex both call (``np.abs``
+    of a complex array differs in the last bit for about a third of all
+    values). On two Python floats ``abs(complex(x, y))`` is the cheap route."""
+    if type(x) is float and type(y) is float:
+        return abs(complex(x, y))
+    return np.hypot(x, y)
 
 
 def validate(a, b, c, d, z=0j, w=0j) -> XState:

@@ -41,22 +41,21 @@ _KEYS = _KeyCache()
 
 
 def _emit(obj) -> str:
-    # exact floats, dicts, lists and strings first: report and state dicts
-    # hold little else. A float is formatted in place when it is finite
-    # (x - x is NaN for NaN and infinities); otherwise _emit refuses it.
-    t = type(obj)
-    if t is float and obj - obj == 0.0:
+    # finite floats, dicts, lists and strings first: report and state dicts
+    # hold little else. x - x is NaN for NaN and infinities, which fall
+    # through to the refusal below.
+    if type(obj) is float and obj - obj == 0.0:
         return "%.17g" % obj
-    if t is dict:
+    if isinstance(obj, dict):
         return "{" + ", ".join([
             _KEYS[k] + ("%.17g" % v if type(v) is float and v - v == 0.0 else _emit(v))
             for k, v in obj.items()
         ]) + "}"
-    if t is list:
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join([
             "%.17g" % v if type(v) is float and v - v == 0.0 else _emit(v) for v in obj
         ]) + "]"
-    if t is str:
+    if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
         return "null"
@@ -70,12 +69,6 @@ def _emit(obj) -> str:
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize the non-finite number {obj!r}")
         return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        return "{" + ", ".join([_KEYS[k] + _emit(v) for k, v in obj.items()]) + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join([_emit(v) for v in obj]) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

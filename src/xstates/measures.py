@@ -22,7 +22,7 @@ _TWO_SQRT2 = 2.0 * np.sqrt(2.0)
 def _moduli(x: XState) -> XState:
     """``x`` with each coherence replaced by its modulus. Every measure here
     is unchanged by local phases, so it reads only these six numbers; on
-    one state they are Python floats, whose moduli cost no hypot."""
+    one state they are Python floats, so later moduli cost no np.hypot."""
     return XState(x.a, x.b, x.c, x.d, x.abs_z, x.abs_w)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import XState
+from .core import XState, _hypot
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class PartialTransposeResult:
 
 def _block_spectrum(a, b, c, d, z_abs, w_abs) -> tuple:
     up, rp = 0.5 * (a + d), 0.5 * (b + c)
-    su = np.hypot(0.5 * (a - d), w_abs)
-    sr = np.hypot(0.5 * (b - c), z_abs)
+    su = _hypot(0.5 * (a - d), w_abs)
+    sr = _hypot(0.5 * (b - c), z_abs)
     return up + su, up - su, rp + sr, rp - sr
 
 

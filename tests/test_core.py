@@ -251,6 +251,70 @@ class TestRandomStates:
             psi = xs.random_pure(9, i)
             assert np.linalg.norm(psi.vector()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_random_pure_frozen_values(self):
+        # made with one fresh Philox generator per (seed, index)
+        frozen = {
+            (1, 0): (0.3983576489019289 + 0.2060682212129902j,
+                     0.29661974535461294 - 0.27807903385086635j,
+                     -0.0959840859811704 - 0.6551184429574413j,
+                     0.17260253851551777 - 0.406633857418626j),
+            (9, 7): (0.014367103098678273 - 0.2936753859067167j,
+                     0.7353718467795421 - 0.09564768681510172j,
+                     -0.32690618207203476 - 0.08900095616231471j,
+                     0.027712781513872235 - 0.49806756639847805j),
+            (123456789, 4242): (-0.3413229849144149 - 0.3401550602964592j,
+                                0.2154010504229444 - 0.5092829787287193j,
+                                -0.36859867701941623 - 0.00425942023530618j,
+                                0.34764159480820445 - 0.4530878327385593j),
+        }
+        for (seed, index), amplitudes in frozen.items():
+            psi = xs.random_pure(seed, index)
+            assert (psi.alpha, psi.beta, psi.gamma, psi.delta) == amplitudes
+
+
+def fresh_stream_state(seed: int, index: int, complex_phases: bool) -> xs.XState:
+    """The random X state of (seed, index) drawn from a fresh generator on the
+    Philox stream with key [seed, index] and built with scalar arithmetic."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    e = rng.standard_exponential(4)
+    a, b, c, d = e / e.sum()
+    u = rng.random(2)
+    z = complex(u[0] * math.sqrt(b * c))
+    w = complex(u[1] * math.sqrt(a * d))
+    if complex_phases:
+        ph = rng.random(2) * 2.0 * math.pi
+        z *= complex(math.cos(ph[0]), math.sin(ph[0]))
+        w *= complex(math.cos(ph[1]), math.sin(ph[1]))
+    return xs.validate(a, b, c, d, z, w)
+
+
+class TestRandomBatches:
+    @pytest.mark.parametrize("complex_phases", [False, True])
+    @pytest.mark.parametrize("seed, start, stop", [(1, 0, 10_000), (77, 4321, 5321)])
+    def test_batch_equals_each_index_bit_for_bit(self, seed, start, stop, complex_phases):
+        batch = xs.random_xstates(seed, start, stop, complex_phases=complex_phases)
+        assert batch.a.shape == (stop - start,) and batch.z.dtype == np.complex128
+        singles = [xs.random_xstate(seed, i, complex_phases) for i in range(start, stop)]
+        fresh = [fresh_stream_state(seed, i, complex_phases) for i in range(start, stop)]
+        for k in "abcdzw":
+            got = getattr(batch, k)
+            for reference in (singles, fresh):
+                want = np.array([getattr(x, k) for x in reference], dtype=got.dtype)
+                assert got.tobytes() == want.tobytes(), k
+
+    def test_single_state_has_python_fields(self):
+        x = xs.random_xstate(3, 5, complex_phases=True)
+        assert {type(v) for v in (x.a, x.b, x.c, x.d)} == {float}
+        assert type(x.z) is complex and type(x.w) is complex
+
+    def test_unstack_inverts_stack(self):
+        states = [xs.random_xstate(8, i, complex_phases=True) for i in range(30)]
+        assert xs.unstack(xs.stack(states)) == states
+
+    def test_campaign_sample_reproduces(self):
+        # the maximum error of acceptance criterion 1's 10^4 states
+        assert xs.approx_error_campaign(10_000, seed=1, grid=64).max_err == 7.588153671004294e-4
+
 
 class TestDephasing:
     def test_zero_time_is_projector(self):
