@@ -25,10 +25,10 @@ def format_float(x: float) -> str:
 
 
 class _KeyCache(dict):
-    """Encodings of dict keys with their separator, ``_KEYS[k]``. Reports
-    and states repeat a few string keys, so up to 1024 of them are kept;
-    other keys are encoded each time (1, 1.0 and True are equal as dict
-    keys but encode differently)."""
+    """``_KEYS[k]`` is the encoding of dict key ``k`` with its separator.
+    Reports and states repeat a few string keys, so up to 1024 of them are
+    kept; other keys are encoded each time (1, 1.0 and True are equal as
+    dict keys but encode differently)."""
 
     def __missing__(self, k) -> str:
         encoded = json.dumps(str(k)) + ": "
