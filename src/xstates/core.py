@@ -353,7 +353,7 @@ def _streams(seed: int, indices):
     key [seed, index] and counter 0: every random draw here is defined by
     these streams. One generator is re-keyed for each index, so draw from it
     before taking the next."""
-    bits = np.random.Philox(0)
+    bits = np.random.Philox(0)  # its state is replaced before every draw
     rng = np.random.Generator(bits)
     for index in indices:
         bits.state = {

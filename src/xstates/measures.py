@@ -138,20 +138,19 @@ class _Entropies(NamedTuple):
 def _entropies(m: XState, f: FanoParams, side: str) -> _Entropies:
     """Every entropy the discord family needs, of the state ``m`` from
     :func:`_moduli` with Fano coordinates ``f`` and ``side`` measured, from
-    one -p log2 p pass over the zero-padded distributions (terms on axis 0,
-    distributions on axis 1)."""
+    one -p log2 p pass over the zero-padded distributions (one per column)."""
     bc = m.b - m.c if side == "B" else m.c - m.b
     root = np.minimum(np.sqrt((m.a - m.d + bc) ** 2 + 4.0 * (m.abs_z + m.abs_w) ** 2), 1.0)
     c = np.maximum(np.maximum(abs(f.C1), abs(f.C2)), abs(f.C3))
     pa, pb, zero = m.a + m.b, m.a + m.c, 0.0 * m.a
+    l0, l1, l2, l3 = _block_spectrum(m.a, m.b, m.c, m.d, m.abs_z, m.abs_w)
     return _Entropies(*entropy(np.array([
-        _block_spectrum(m.a, m.b, m.c, m.d, m.abs_z, m.abs_w),
-        (m.a, m.b, m.c, m.d),
-        (pa, 1.0 - pa, zero, zero),
-        (pb, 1.0 - pb, zero, zero),
-        (0.5 + 0.5 * root, 0.5 - 0.5 * root, zero, zero),
-        (0.5 * (1.0 + c), 0.5 * (1.0 - c), zero, zero),
-    ]).swapaxes(0, 1)))
+        # rho  diag  rho_A     rho_B     N1                MMM
+        (l0,   m.a,  pa,       pb,       0.5 + 0.5 * root, 0.5 * (1.0 + c)),
+        (l1,   m.b,  1.0 - pa, 1.0 - pb, 0.5 - 0.5 * root, 0.5 * (1.0 - c)),
+        (l2,   m.c,  zero,     zero,     zero,             zero),
+        (l3,   m.d,  zero,     zero,     zero,             zero),
+    ])))
 
 
 def _state_entropies(x: XState, side: str) -> _Entropies:
