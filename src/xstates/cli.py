@@ -7,29 +7,34 @@ config), ``check`` (pattern-preservation verdict for a channel or
 generator file).
 
 Exit codes: 0 success (for ``check``: preserving), 1 ``check`` verdict not
-preserving, 2 parse/validation error, 3 I/O error, 4 generator not
-preserving, 5 sampled step rejected (trace drift or leakage).
+preserving, 2 malformed input or failed validation, 3 I/O error, 4
+generator not preserving, 5 sampled step rejected (trace drift or leakage).
+:func:`main` alone decides them: a failure prints one line
+``<label>: <message>`` to stderr, labelled ``error``, ``completeness
+violated``, ``not preserving``, ``step rejected`` or ``i/o error``.
+Malformed input, including JSON nested too deeply to parse, a seed outside
+[0, 2**64), an integer that overflows and numbers so large that arithmetic
+on them overflows, exits 2 with that one line.
 
-Every file-producing run writes ``<out>.manifest.json`` beside its output,
-also on failure; re-running with the same arguments reproduces the outputs
-byte for byte (the manifest's duration aside).
+Every file-producing run writes ``<out>.manifest.json`` beside its output;
+a failed run writes one with status "error" unless the failure is an I/O
+error (or the manifest itself cannot be written). Re-running with the same
+arguments reproduces the outputs byte for byte (the manifest's duration
+aside).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, fileio
 from .dynamics import check_kraus, check_lindblad, esd_time, evolve, grade
-from .errors import (
-    CompletenessViolated,
-    DynamicsError,
-    NotPreserving,
-    StepRejected,
-    ValidationError,
-)
+from .errors import CompletenessViolated, NotPreserving, StepRejected, XStatesError
 from .measures import concurrence, report
 from .oracle import approx_error_campaign
 from .core import random_xstates, unstack
@@ -41,12 +46,25 @@ EXIT_IO = 3
 EXIT_NOT_PRESERVING = 4
 EXIT_STEP_REJECTED = 5
 
+# (exception class, exit code, stderr label); the first match decides
+_ERRORS = (
+    (OSError, EXIT_IO, "i/o error"),
+    (NotPreserving, EXIT_NOT_PRESERVING, "not preserving"),
+    (StepRejected, EXIT_STEP_REJECTED, "step rejected"),
+    (CompletenessViolated, EXIT_PARSE, "completeness violated"),
+    (XStatesError, EXIT_PARSE, "error"),
+    (ValueError, EXIT_PARSE, "error"),
+    (FloatingPointError, EXIT_PARSE, "error"),  # inputs too large to compute with
+)
 
-def _manifest(args, subcommand: str, outputs, started, extra=None, status="ok", error=None):
+
+def _write_manifest(args, started, extra=None, error=None):
+    """Writes ``<out>.manifest.json``: the run's arguments, output, duration
+    and status; a failed run (``error`` given) lists no output."""
     data = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "inputs": [getattr(args, "infile", None)] if getattr(args, "infile", None) else [],
-        "outputs": list(outputs),
+        "outputs": [args.out] if error is None else [],
         "seed": getattr(args, "seed", None),
         "n": getattr(args, "n", None),
         "grid": getattr(args, "grid", None),
@@ -54,151 +72,63 @@ def _manifest(args, subcommand: str, outputs, started, extra=None, status="ok", 
         "t_max": getattr(args, "t_max", None),
         "version": __version__,
         "duration_s": time.monotonic() - started,
-        "status": status,
+        "status": "ok" if error is None else "error",
     }
     if error is not None:
         data["error"] = str(error)
     if extra:
         data.update(extra)
-    return data
+    fileio.write_json(args.out + ".manifest.json", data)
 
 
-def _write_manifest(out_path, manifest):
-    if out_path:
-        fileio.write_json(out_path + ".manifest.json", manifest)
-
-
-def _cmd_measures(args) -> int:
-    started = time.monotonic()
-    try:
-        state = fileio.load_state(args.infile)
-        rep = report(state, side=args.side).to_dict()
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_manifest(args.out, _manifest(args, "measures", [], started, status="error", error=exc))
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+def _cmd_measures(args, started) -> int:
+    rep = report(fileio.load_state(args.infile), side=args.side).to_dict()
     if not args.out:
         sys.stdout.write(
             fileio.dumps(rep) + "\n" if args.format == "json" else fileio.report_to_csv(rep)
         )
         return EXIT_OK
-    try:
-        fileio.save_report(args.out, rep, fmt=args.format)
-        _write_manifest(
-            args.out,
-            _manifest(args, "measures", [args.out], started, extra={"side": args.side}),
-        )
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    fileio.save_report(args.out, rep, fmt=args.format)
+    _write_manifest(args, started, extra={"side": args.side})
     return EXIT_OK
 
 
-def _cmd_gen(args) -> int:
-    started = time.monotonic()
+def _cmd_gen(args, started) -> int:
     states = random_xstates(args.seed, 0, args.n)
     entangled = int((concurrence(states) > 0.0).sum())
-    try:
-        fileio.save_corpus(args.out, unstack(states))
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    _write_manifest(
-        args.out,
-        _manifest(args, "gen", [args.out], started,
-                  extra={"frac_entangled": entangled / args.n}),
-    )
+    fileio.save_corpus(args.out, unstack(states))
+    _write_manifest(args, started, extra={"frac_entangled": entangled / args.n})
     return EXIT_OK
 
 
-def _cmd_validate_approx(args) -> int:
-    started = time.monotonic()
-
+def _cmd_validate_approx(args, started) -> int:
     def progress(done):
         print(f"{done}/{args.n} states", file=sys.stderr)
 
     stats = approx_error_campaign(args.n, seed=args.seed, grid=args.grid, progress=progress)
-    try:
-        fileio.write_json(args.out, stats.to_dict())
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    _write_manifest(args.out, _manifest(args, "validate-approx", [args.out], started))
+    fileio.write_json(args.out, stats.to_dict())
+    _write_manifest(args, started)
     return EXIT_OK
 
 
-def _cmd_evolve(args) -> int:
-    started = time.monotonic()
-    try:
-        cfg = fileio.load_dynamics_config(args.infile)
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_manifest(args.out, _manifest(args, "evolve", [], started, status="error", error=exc))
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        traj = evolve(
-            cfg["spec"],
-            cfg["initial_state"],
-            dt=cfg["dt"],
-            t_max=cfg["t_max"],
-            sample_every=cfg["sample_every"],
-            record=cfg["measures"],
-        )
-    except NotPreserving as exc:
-        print(f"not preserving: {exc}", file=sys.stderr)
-        _write_manifest(args.out, _manifest(args, "evolve", [], started, status="error", error=exc))
-        return EXIT_NOT_PRESERVING
-    except StepRejected as exc:
-        print(f"step rejected: {exc}", file=sys.stderr)
-        _write_manifest(args.out, _manifest(args, "evolve", [], started, status="error", error=exc))
-        return EXIT_STEP_REJECTED
-    except (DynamicsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_manifest(args.out, _manifest(args, "evolve", [], started, status="error", error=exc))
-        return EXIT_PARSE
-    try:
-        fileio.save_trajectory(args.out, traj)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    extra = {
-        "dt": cfg["dt"],
-        "t_max": cfg["t_max"],
-        "max_leakage": traj.max_leakage,
-    }
+def _cmd_evolve(args, started) -> int:
+    cfg = fileio.load_dynamics_config(args.infile)
+    traj = evolve(cfg["spec"], cfg["initial_state"], dt=cfg["dt"], t_max=cfg["t_max"],
+                  sample_every=cfg["sample_every"], record=cfg["measures"])
+    fileio.save_trajectory(args.out, traj)
+    extra = {"dt": cfg["dt"], "t_max": cfg["t_max"], "max_leakage": traj.max_leakage}
     if "concurrence" in traj.measures:
-        death = esd_time(traj)
-        extra["esd_time"] = death
-    _write_manifest(args.out, _manifest(args, "evolve", [args.out], started, extra=extra))
+        extra["esd_time"] = esd_time(traj)
+    _write_manifest(args, started, extra=extra)
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    try:
-        kind, obj = fileio.load_check_config(args.infile)
-        if kind == "kraus":
-            verdict = check_kraus(obj)
-            graded = [grade(op) for op in obj.operators]
-        else:
-            verdict = check_lindblad(obj)
-            graded = [grade(op) for op in obj.operators]
-    except CompletenessViolated as exc:
-        print(f"completeness violated: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DynamicsError, ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    for i, g in enumerate(graded):
-        print(f"operator {i}: grade {g.grade.value}")
+def _cmd_check(args, started) -> int:
+    kind, obj = fileio.load_check_config(args.infile)
+    verdict = check_kraus(obj) if kind == "kraus" else check_lindblad(obj)
+    grades = [grade(op).grade.value for op in obj.operators]
+    for i, g in enumerate(grades):
+        print(f"operator {i}: grade {g}")
     if verdict.preserving:
         print(f"preserving: {verdict.message}")
         return EXIT_OK
@@ -263,8 +193,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Runs one subcommand and returns its exit code. The one error boundary:
+    an exception listed in ``_ERRORS`` becomes its exit code and one stderr
+    line, plus an error manifest beside ``--out`` unless it is an I/O error;
+    any other exception is a bug and keeps its traceback. numpy overflow and
+    invalid operations raise here instead of warning and computing on."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    started = time.monotonic()
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return args.func(args, started)
+    except tuple(cls for cls, _, _ in _ERRORS) as exc:
+        code, label = next((c, lb) for cls, c, lb in _ERRORS if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        if code != EXIT_IO and getattr(args, "out", None):
+            with contextlib.suppress(OSError):  # the error above stands either way
+                _write_manifest(args, started, error=exc)
+        return code
 
 
 if __name__ == "__main__":

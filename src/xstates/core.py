@@ -352,7 +352,9 @@ def _streams(seed: int, indices):
     """For each index, the generator at the start of the Philox stream with
     key [seed, index] and counter 0: every random draw here is defined by
     these streams. One generator is re-keyed for each index, so draw from it
-    before taking the next."""
+    before taking the next. Raises ValueError for a seed outside [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
     bits = np.random.Philox(0)  # its state is replaced before every draw
     rng = np.random.Generator(bits)
     for index in indices:

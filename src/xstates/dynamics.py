@@ -386,7 +386,7 @@ def evolve(
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     for name in record:
-        if name not in _TRAJECTORY_MEASURES:
+        if not isinstance(name, str) or name not in _TRAJECTORY_MEASURES:
             raise ValueError(
                 f"unknown measure {name!r}; available: {sorted(_TRAJECTORY_MEASURES)}"
             )

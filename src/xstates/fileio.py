@@ -129,13 +129,25 @@ def _require_object(obj, what: str) -> dict:
     return obj
 
 
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in file ``path``. Text nested too deeply to parse is
+    malformed input (ValueError), like any other unparseable text."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{what} is nested too deeply to parse") from exc
+    return _require_object(obj, what)
+
+
 @contextlib.contextmanager
 def _parsing(what: str):
-    """Reports a JSON value of the wrong type, which surfaces as a
-    TypeError while parsing, as malformed input (ValueError)."""
+    """Reports a JSON value of the wrong type or a number out of range, which
+    surface as a TypeError or an OverflowError while parsing, as malformed
+    input (ValueError)."""
     try:
         yield
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {what}: {exc}") from exc
 
 
@@ -173,8 +185,7 @@ def state_from_obj(obj: dict) -> XState:
 
 
 def load_state(path: str) -> XState:
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read_object(path, "state")
     with _parsing("state"):
         return state_from_obj(obj)
 
@@ -255,8 +266,7 @@ def lindblad_from_obj(obj: dict) -> LindbladSpec:
 def load_dynamics_config(path: str) -> dict:
     """Returns {'spec', 'initial_state', 'dt', 't_max', 'sample_every',
     'measures'} from an evolve config file."""
-    with open(path) as fh:
-        obj = _require_object(json.load(fh), "dynamics config")
+    obj = _read_object(path, "dynamics config")
     for key in ("initial_state", "dt", "t_max"):
         if key not in obj:
             raise ValueError(f"dynamics config lacks key {key!r}")
@@ -273,8 +283,7 @@ def load_dynamics_config(path: str) -> dict:
 
 def load_check_config(path: str):
     """Returns ('kraus', KrausSet) or ('lindblad', LindbladSpec)."""
-    with open(path) as fh:
-        obj = _require_object(json.load(fh), "check config")
+    obj = _read_object(path, "check config")
     with _parsing("check config"):
         if "kraus" in obj:
             return "kraus", KrausSet(tuple(operator_from_obj(o) for o in obj["kraus"]))

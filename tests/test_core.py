@@ -290,7 +290,8 @@ def fresh_stream_state(seed: int, index: int, complex_phases: bool) -> xs.XState
 
 class TestRandomBatches:
     @pytest.mark.parametrize("complex_phases", [False, True])
-    @pytest.mark.parametrize("seed, start, stop", [(1, 0, 10_000), (77, 4321, 5321)])
+    @pytest.mark.parametrize("seed, start, stop",
+                             [(1, 0, 10_000), (77, 4321, 5321), (2**64 - 1, 0, 100)])
     def test_batch_equals_each_index_bit_for_bit(self, seed, start, stop, complex_phases):
         batch = xs.random_xstates(seed, start, stop, complex_phases=complex_phases)
         assert batch.a.shape == (stop - start,) and batch.z.dtype == np.complex128
@@ -301,6 +302,14 @@ class TestRandomBatches:
             for reference in (singles, fresh):
                 want = np.array([getattr(x, k) for x in reference], dtype=got.dtype)
                 assert got.tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_uint64_rejected(self, seed):
+        draws = (lambda: xs.random_xstate(seed, 0), lambda: xs.random_xstates(seed, 0, 3),
+                 lambda: xs.random_pure(seed, 0))
+        for draw in draws:
+            with pytest.raises(ValueError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
+                draw()
 
     def test_single_state_has_python_fields(self):
         x = xs.random_xstate(3, 5, complex_phases=True)

@@ -1,12 +1,19 @@
 """File formats, manifests, determinism, and CLI exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xstates as xs
 from xstates import fileio
@@ -377,3 +384,222 @@ class TestMalformedInput:
         assert self.run(tmp_path, "evolve", json.dumps(cfg)) == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
+
+
+_DURATION = re.compile(rb'"duration_s": [^,}]+')
+
+_BAD_STATE = {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25, "z": {"re": 0.3, "im": 0.0}}
+_DEPHASING = {
+    "initial_state": {"a": 0.5, "b": 0.0, "c": 0.0, "d": 0.5, "w": {"re": 0.5, "im": 0.0}},
+    "operators": ["ZI"], "rates": [1.0], "dt": 1e-3, "t_max": 0.01,
+}
+_INPUTS = {
+    "bad.json": json.dumps(_BAD_STATE),
+    "bad_evolve.json": json.dumps({**_DEPHASING, "initial_state": _BAD_STATE}),
+    "unknown_measure.json": json.dumps({**_DEPHASING, "measures": ["nonsense"]}),
+    "cross.json": json.dumps({**{k: v for k, v in _DEPHASING.items() if k != "rates"},
+                              "operators": ["ZI", "XI"], "h": [[1.0, 0.5], [0.5, 1.0]]}),
+    "incomplete.json": json.dumps({"kraus": [(0.5 * np.eye(4)).tolist()]}),
+    "deep.json": "[" * 200_000 + "]" * 200_000,
+    "nested_measure.json": json.dumps({**_DEPHASING, "measures": [["concurrence"]]}),
+    "huge_kraus.json": json.dumps({"kraus": [(1e200 * np.eye(4)).tolist()]}),
+    "huge_sample_every.json": json.dumps({**_DEPHASING, "sample_every": 1.0}).replace(
+        '"sample_every": 1.0', '"sample_every": 1e999'),
+}
+
+
+def _error_manifest(subcommand, error, inputs=(), seed="null", n="null", grid="null") -> bytes:
+    """The bytes of an error manifest, ``duration_s`` blanked."""
+    return (
+        f'{{"subcommand": "{subcommand}", "inputs": {json.dumps(list(inputs))}, '
+        f'"outputs": [], "seed": {seed}, "n": {n}, "grid": {grid}, "dt": null, '
+        f'"t_max": null, "version": "0.1.0", "duration_s": null, "status": "error", '
+        f'"error": {json.dumps(error)}}}\n'
+    ).encode()
+
+
+_BAD_Z = "|z| = 0.3 exceeds its positivity bound 0.25 by 0.05"
+_ERROR_CASES = [
+    # argv, exit code, stderr label, error manifest (None: none may be written)
+    pytest.param("measures --in bad.json --out out.json", 2, "error",
+                 _error_manifest("measures", _BAD_Z, ["bad.json"]),
+                 id="measures-invalid-state"),
+    pytest.param("evolve --in bad_evolve.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", _BAD_Z, ["bad_evolve.json"]),
+                 id="evolve-invalid-state"),
+    pytest.param("evolve --in unknown_measure.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "unknown measure 'nonsense'; available: "
+                                 "['approx_discord', 'concurrence', 'entropy', 'fef', "
+                                 "'mid', 'negativity', 'purity']", ["unknown_measure.json"]),
+                 id="evolve-unknown-measure"),
+    pytest.param("evolve --in cross.json --out out.csv", 4, "not preserving",
+                 _error_manifest("evolve", "generator mixes the two support patterns: "
+                                 "XX->ZX, XY->ZY, ZI->XI, ZZ->XZ", ["cross.json"]),
+                 id="evolve-not-preserving"),
+    pytest.param("measures --in missing.json --out out.json", 3, "i/o error", None,
+                 id="measures-missing-input"),
+    pytest.param("evolve --in missing.json --out out.csv", 3, "i/o error", None,
+                 id="evolve-missing-input"),
+    pytest.param("check --in missing.json", 3, "i/o error", None, id="check-missing-input"),
+    pytest.param("check --in incomplete.json", 2, "completeness violated", None,
+                 id="check-incomplete-kraus"),
+    # malformed input that must not end in a traceback
+    pytest.param("measures --in deep.json --out out.json", 2, "error",
+                 _error_manifest("measures", "state is nested too deeply to parse",
+                                 ["deep.json"]),
+                 id="measures-too-deep"),
+    pytest.param("evolve --in deep.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "dynamics config is nested too deeply to parse",
+                                 ["deep.json"]),
+                 id="evolve-too-deep"),
+    pytest.param("check --in deep.json", 2, "error", None, id="check-too-deep"),
+    pytest.param("gen --n 2 --seed -1 --out out.jsonl", 2, "error",
+                 _error_manifest("gen", "seed -1 is outside [0, 2**64)", seed="-1", n="2"),
+                 id="gen-negative-seed"),
+    pytest.param("validate-approx --n 2 --seed 18446744073709551616 --out out.json", 2, "error",
+                 _error_manifest("validate-approx",
+                                 "seed 18446744073709551616 is outside [0, 2**64)",
+                                 seed="18446744073709551616", n="2", grid="64"),
+                 id="validate-approx-seed-too-large"),
+    pytest.param("evolve --in huge_sample_every.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "malformed dynamics config: "
+                                 "cannot convert float infinity to integer",
+                                 ["huge_sample_every.json"]),
+                 id="evolve-overflowing-integer"),
+    pytest.param("evolve --in nested_measure.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "unknown measure ['concurrence']; available: "
+                                 "['approx_discord', 'concurrence', 'entropy', 'fef', "
+                                 "'mid', 'negativity', 'purity']", ["nested_measure.json"]),
+                 id="evolve-unhashable-measure"),
+    pytest.param("check --in huge_kraus.json", 2, "error", None, id="check-overflow"),
+    # the error manifest cannot be written; the error still exits as itself
+    pytest.param("measures --in bad.json --out nodir/out.json", 2, "error", None,
+                 id="measures-invalid-state-missing-out-dir"),
+    pytest.param("evolve --in bad_evolve.json --out nodir/out.csv", 2, "error", None,
+                 id="evolve-invalid-state-missing-out-dir"),
+]
+
+
+class TestErrorPaths:
+    """Golden error paths: exit code, one labelled stderr line, and the
+    error manifest's bytes with ``duration_s`` blanked."""
+
+    @pytest.mark.parametrize("argv, code, label, manifest", _ERROR_CASES)
+    def test_error_path(self, tmp_path, monkeypatch, capsys, argv, code, label, manifest):
+        monkeypatch.chdir(tmp_path)
+        for name, text in _INPUTS.items():
+            (tmp_path / name).write_text(text)
+        args = argv.split()
+        assert run_cli(*args) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(label + ": ")
+        out = tmp_path / args[args.index("--out") + 1] if "--out" in args else None
+        written = {p.name for p in tmp_path.iterdir()} - set(_INPUTS)
+        if manifest is None:
+            assert written == set()
+            return
+        assert written == {out.name + ".manifest.json"}
+        raw = (tmp_path / (out.name + ".manifest.json")).read_bytes()
+        assert _DURATION.sub(b'"duration_s": null', raw) == manifest
+
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# dt and t_max keep an evolve run to at most 1000 steps
+_STEP_VALUES = st.sampled_from(
+    [1e-3, 0.5, "0.5", True, 0, -1.0, math.nan, math.inf, -math.inf, None, "x", [0.5], {}]
+)
+_SAMPLE_DOCUMENTS = {
+    "measures": [
+        {"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1, "z": {"re": 0.1, "im": 0.0},
+         "w": {"re": 0.1, "im": 0.05}},
+        {"matrix": [[[0.5, 0], [0, 0], [0, 0], [0.4, 0]], [[0, 0]] * 4, [[0, 0]] * 4,
+                    [[0.4, 0], [0, 0], [0, 0], [0.5, 0]]]},
+    ],
+    "evolve": [
+        {**_DEPHASING, "sample_every": 2, "measures": ["concurrence", "purity"]},
+        {"initial_state": {"a": 0.45, "b": 0.05, "c": 0.05, "d": 0.45, "w": [0.4, 0.0]},
+         "operators": ["ZI", {"IZ": 1.0, "ZZ": 0.5}], "h": [[1.0, 0.2], [0.2, 1.0]],
+         "hamiltonian": "ZZ", "dt": 0.5, "t_max": 0.5},
+    ],
+    "check": [
+        {"kraus": [np.diag([1.0, 1.0, 0.6, 0.6]).tolist(),
+                   (0.8 * np.eye(4, k=2)).tolist()]},
+        {"lindblad": {"operators": ["ZI", "XX"], "rates": [0.5, 0.1], "hamiltonian": "ZZ"}},
+        {"kraus": [(np.kron([[1, 1], [1, -1]], np.eye(2)) / math.sqrt(2)).tolist()]},
+    ],
+}
+
+
+@st.composite
+def _mutated(draw, doc, steps):
+    """``doc`` with one value, at any depth, replaced by a random JSON value
+    (dt and t_max of an evolve config only by values from ``_STEP_VALUES``)."""
+    if isinstance(doc, (dict, list)) and doc and draw(st.integers(0, 3)):
+        copy = dict(doc) if isinstance(doc, dict) else list(doc)
+        key = draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+        bounded = steps and key in ("dt", "t_max")
+        copy[key] = draw(_STEP_VALUES if bounded else _mutated(doc[key], False))
+        return copy
+    return draw(_JSON_VALUES)
+
+
+@st.composite
+def _fuzz_input(draw, command):
+    """The text of an ``--in`` file: a sample document with a mutated value,
+    a random JSON value, or a sample document cut short."""
+    doc = draw(st.sampled_from(_SAMPLE_DOCUMENTS[command]))
+    kind = draw(st.sampled_from(["mutated", "random", "truncated"]))
+    if kind == "mutated":
+        return json.dumps(draw(_mutated(doc, command == "evolve")))
+    if kind == "random":
+        return json.dumps(draw(_JSON_VALUES))
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text) - 1))]
+
+
+class TestParserFuzz:
+    """``main`` never raises on a malformed ``--in`` file: an error exits
+    with one stderr line and leaves no output file behind."""
+
+    @staticmethod
+    def check_run(command, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "in.json"), os.path.join(tmp, "out")
+            with open(path, "w") as fh:
+                fh.write(text)
+            argv = [command, "--in", path] + (["--out", out] if command != "check" else [])
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue()
+            if command == "check" and code in (0, 1):  # a verdict, on stdout
+                assert err == ""
+            elif code == 0:
+                assert err == "" and os.path.exists(out)
+            else:
+                assert code in (2, 3, 4, 5)
+                assert err.count("\n") == 1 and err.endswith("\n")
+                assert set(os.listdir(tmp)) <= {"in.json", "out.manifest.json"}
+
+    @FUZZ
+    @given(_fuzz_input("measures"))
+    def test_measures(self, text):
+        self.check_run("measures", text)
+
+    @FUZZ
+    @given(_fuzz_input("evolve"))
+    def test_evolve(self, text):
+        self.check_run("evolve", text)
+
+    @FUZZ
+    @given(_fuzz_input("check"))
+    def test_check(self, text):
+        self.check_run("check", text)
