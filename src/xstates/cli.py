@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 import time
 
@@ -150,7 +151,10 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs about a millisecond per call."""
     parser = argparse.ArgumentParser(
         prog="xstates",
         description="Correlation measures and pattern-preserving dynamics "

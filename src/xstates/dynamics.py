@@ -12,6 +12,7 @@ The Liouvillian exponentiated, expm(L t), propagates the master equation in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +21,15 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels, measures, spectral
-from .core import X_MASK, XState, from_matrix, stack
+from .core import (
+    COHERENCE_TOL,
+    POPULATION_TOL,
+    TRACE_TOL,
+    X_MASK,
+    XState,
+    unstack,
+    validate,
+)
 from .errors import (
     CompletenessViolated,
     InvalidCoupling,
@@ -126,6 +135,12 @@ class Verdict:
         return self.preserving
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 4x4 matrices, the same products without its
+    reshaping overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+
+
 def _commutator_generator(h) -> np.ndarray:
     """The superoperator of rho -> -i [H, rho] for a Hermitian 4x4 ``h``."""
     m = np.asarray(h, dtype=np.complex128)
@@ -134,7 +149,7 @@ def _commutator_generator(h) -> np.ndarray:
     dev = float(np.abs(m - m.conj().T).max())
     if not dev <= 1e-10 * max(1.0, float(np.linalg.norm(m))):
         raise NotHermitian(f"Hamiltonian deviates from Hermiticity by {dev:.3g}")
-    return -1j * (np.kron(m, _I4) - np.kron(_I4, m.T))
+    return -1j * (_kron(m, _I4) - _kron(_I4, m.T))
 
 
 def _leaks(superop: np.ndarray) -> tuple:
@@ -239,7 +254,7 @@ def _lindblad_superoperator(spec: LindbladSpec) -> np.ndarray:
     # sum h_nm (2 L_n (x) conj(L_m) - M (x) I - I (x) M^T), M = sum h_nm L_m^dag L_n
     jump = np.einsum("nm,nij,mkl->ikjl", h, ops, ops.conj()).reshape(16, 16)
     m = np.einsum("nm,mji,njk->ik", h, ops.conj(), ops)
-    return out + 2.0 * jump - np.kron(m, _I4) - np.kron(_I4, m.T)
+    return out + 2.0 * jump - _kron(m, _I4) - _kron(_I4, m.T)
 
 
 def _kraus_superoperator(channel: KrausSet) -> np.ndarray:
@@ -247,7 +262,7 @@ def _kraus_superoperator(channel: KrausSet) -> np.ndarray:
     dev = float(np.abs(total - np.eye(4)).max())
     if not dev <= 1e-10:
         raise CompletenessViolated(dev)
-    return sum(np.kron(op, op.conj()) for op in channel.operators)
+    return sum(_kron(op, op.conj()) for op in channel.operators)
 
 
 def superoperator(obj) -> np.ndarray:
@@ -268,7 +283,11 @@ def superoperator(obj) -> np.ndarray:
 def check_lindblad(spec: LindbladSpec) -> Verdict:
     """A generator preserves the X pattern iff its Liouvillian sends no
     X-pattern matrix off the pattern."""
-    leaks = _leaks(superoperator(spec))
+    return _lindblad_verdict(superoperator(spec))
+
+
+def _lindblad_verdict(liouvillian: np.ndarray) -> Verdict:
+    leaks = _leaks(liouvillian)
     if leaks:
         return Verdict(False, "generator mixes the two support patterns", leaks)
     return Verdict(True, "generator preserves the X pattern")
@@ -327,36 +346,40 @@ _TRAJECTORY_MEASURES = {
 }
 
 
+# an evolve run holds every sample in memory at once, its vector and the
+# arrays that check it; at this bound a run and its trajectory CSV (about
+# 120 bytes a row) peak near 150 MB
+MAX_SAMPLES = 100_000
+# the largest |trace - 1| a propagated sample may show before it is normalised
+TRACE_DRIFT_TOL = 1e-9
+# a single Taylor sum of expm(L tau) v in esd_time spans at most this much
+# ||L||_1 tau; a wider bracket is cut into pieces
+TAYLOR_SPAN = 1.0
+_UNIT_ROUNDOFF = 2.0**-53
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled X states and measures along one propagation run."""
+    """Sampled X states and measures along one propagation run.
+
+    ``samples`` is one batch of states (see :func:`core.stack`), sample ``i``
+    taken at ``times[i]``; ``states`` shows them as a read-only tuple of
+    single states. Each recorded measure maps to an array over the samples.
+    ``liouvillian`` is the superoperator of ``spec`` that propagated them.
+    """
 
     times: np.ndarray
-    states: tuple
+    samples: XState
     measures: dict
     max_leakage: float
     spec: LindbladSpec
     dt: float
     sample_every: int
+    liouvillian: np.ndarray
 
-
-def _project_sample(rho: np.ndarray, leakage_tol: float):
-    sym = 0.5 * (rho + rho.conj().T)
-    tr = float(sym.trace().real)
-    if not abs(tr - 1.0) <= 1e-9:
-        raise StepRejected(f"trace drifted to {tr!r}")
-    sym = sym / tr
-    leak = off_pattern_norm(sym)
-    if leak > leakage_tol:
-        raise StepRejected(
-            f"off-pattern leakage {leak:.3g} exceeds {leakage_tol:.3g}; "
-            "the generator is probably not pattern preserving"
-        )
-    projected = np.where(X_MASK, sym, 0.0)
-    try:
-        return from_matrix(projected), leak
-    except ValidationError as exc:
-        raise StepRejected(f"sampled state failed validation: {exc}") from exc
+    @functools.cached_property
+    def states(self) -> tuple:
+        return tuple(unstack(self.samples))
 
 
 def evolve(
@@ -372,61 +395,196 @@ def evolve(
 
     The exact step propagator P = expm(L dt) of the Liouvillian L acts on the
     full 4x4 matrix; between samples its ``sample_every``-th power is
-    applied, so a sample at ``step * dt`` is P^step applied to ``x0``. At
-    each sample the trace must stay within 1e-9 of one and the off-pattern
-    leakage below ``leakage_tol`` (raises :class:`StepRejected` otherwise);
-    the sample is projected onto the X pattern. The requested measures are
-    then recorded on all samples as one batch. Raises :class:`NotPreserving`
-    when the generator fails :func:`check_lindblad`.
+    applied, so a sample at ``step * dt`` is P^step applied to ``x0``. The
+    run takes ``round(t_max / dt)`` steps (at least one), and its last
+    interval is shorter when ``sample_every`` does not divide them.
+
+    Every sample is propagated first and then checked in one batched pass:
+    its trace must stay within ``TRACE_DRIFT_TOL`` of one and, normalised,
+    its off-pattern leakage below ``leakage_tol``; projected onto the X
+    pattern, it must pass :func:`validate`, whose clamping it gets. The
+    first sample that fails raises :class:`StepRejected` naming its time.
+    The requested measures are then recorded on the batch.
+
+    Raises :class:`NotPreserving` when the generator fails
+    :func:`check_lindblad`, and ValueError for a negative ``t_max``, a step
+    count that is not finite, or more than ``MAX_SAMPLES`` samples (the
+    initial state included).
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
+    if t_max < 0.0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    if not math.isfinite(t_max / dt):
+        raise ValueError(f"t_max / dt = {t_max} / {dt} is not a finite step count")
+    steps = max(1, int(round(t_max / dt)))
+    count = 1 - (-steps // sample_every)
+    if count > MAX_SAMPLES:
+        raise ValueError(
+            f"{steps} steps sampled every {sample_every} give {count} samples, "
+            f"more than {MAX_SAMPLES}"
+        )
     for name in record:
         if not isinstance(name, str) or name not in _TRAJECTORY_MEASURES:
             raise ValueError(
                 f"unknown measure {name!r}; available: {sorted(_TRAJECTORY_MEASURES)}"
             )
-    verdict = check_lindblad(spec)
+    liouvillian = superoperator(spec)
+    verdict = _lindblad_verdict(liouvillian)
     if not verdict.preserving:
         raise NotPreserving(f"{verdict.message}: {', '.join(verdict.offenders)}")
-    prop = _kernels.expm(superoperator(spec) * dt)
+    prop = _kernels.expm(liouvillian * dt)
     hop = np.linalg.matrix_power(prop, sample_every)
-    steps = max(1, int(round(t_max / dt)))
+    ends = [*range(sample_every, steps, sample_every), steps]
+    vecs = np.empty((len(ends), 16), dtype=np.complex128)
     vec = x0.to_matrix().reshape(16)
-    times = [0.0]
-    states = [x0]
-    max_leak = 0.0
     done = 0
-    for n in [*range(sample_every, steps, sample_every), steps]:
+    for row, n in enumerate(ends):
         # P^sample_every between samples; the last interval may be shorter
         power = hop if n - done == sample_every else np.linalg.matrix_power(prop, n - done)
-        vec = power @ vec
+        vec = vecs[row] = power @ vec
         done = n
-        state, leak = _project_sample(vec.reshape(4, 4), leakage_tol)
-        max_leak = max(max_leak, leak)
-        times.append(n * dt)
-        states.append(state)
-    samples = stack(states)
+    times = np.array([0.0] + [n * dt for n in ends])
+    checked, leak = _checked_samples(vecs, times[1:], leakage_tol)
+    samples = XState(*(np.concatenate(([getattr(x0, k)], getattr(checked, k))) for k in "abcdzw"))
     return Trajectory(
-        times=np.array(times),
-        states=tuple(states),
+        times=times,
+        samples=samples,
         measures={name: _TRAJECTORY_MEASURES[name](samples) for name in record},
-        max_leakage=max_leak,
+        max_leakage=float(leak.max()),
         spec=spec,
         dt=dt,
         sample_every=sample_every,
+        liouvillian=liouvillian,
     )
 
 
-def _concurrence_gap(m: np.ndarray) -> float:
-    # signed distance of an X-shaped matrix to entanglement death:
+def _checked_samples(vecs: np.ndarray, times: np.ndarray, leakage_tol: float):
+    """The propagated vectors ``vecs``, one row per sample taken at
+    ``times``, as a batch of X states, and the leakage of each.
+
+    Every value equals, bit for bit, what :func:`from_matrix` of the
+    projection and :func:`off_pattern_norm` give on one sample alone: the
+    trace of the Hermitian part is summed pairwise, as numpy sums a 4x4
+    trace, and the leakage, the norm of the normalised off-pattern part,
+    goes through the dot products of ``np.linalg.norm``. Raises
+    :class:`StepRejected` for the first sample that fails a check.
+    """
+    rho = vecs.reshape(-1, 4, 4)
+    # the rows past a rejected one may hold anything; none of them is kept
+    with np.errstate(all="ignore"):
+        sym = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+        d = np.diagonal(sym.real, axis1=1, axis2=2)
+        tr = (d[:, 0] + d[:, 1]) + (d[:, 2] + d[:, 3])
+        sym = sym / tr[:, None, None]
+        off = np.where(X_MASK, 0.0, sym).reshape(-1, 1, 16)
+        # one dot product per row and part, as np.linalg.norm sums them
+        re, im = off.real, off.imag
+        leak = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
+        params = (*np.diagonal(sym.real, axis1=1, axis2=2).T, sym[:, 1, 2], sym[:, 0, 3])
+        states, valid = _validated(*params)
+    drifted = ~(np.abs(tr - 1.0) <= TRACE_DRIFT_TOL)
+    leaking = ~(leak <= leakage_tol)
+    bad = np.flatnonzero(drifted | leaking | ~valid)
+    if bad.size:
+        i = bad[0]
+        if drifted[i]:
+            reason = f"trace drifted to {float(tr[i])!r}"
+        elif leaking[i]:
+            reason = (
+                f"off-pattern leakage {leak[i]:.3g} exceeds {leakage_tol:.3g}; "
+                "the generator is probably not pattern preserving"
+            )
+        else:
+            reason = "sampled state failed validation"
+            try:
+                validate(*(p[i] for p in params))
+            except ValidationError as exc:
+                reason += f": {exc}"
+        raise StepRejected(f"sample at t = {float(times[i])!r}: {reason}")
+    return states, leak
+
+
+def _validated(a, b, c, d, z, w):
+    """:func:`validate` over equal-shape arrays: the states it returns, bit
+    for bit, and a mask of the elements it accepts. A NaN or an infinity
+    fails one of the comparisons."""
+    total = ((a + b) + c) + d
+    pops = np.array([a, b, c, d])
+    valid = (np.abs(total - 1.0) <= TRACE_TOL) & (pops >= -POPULATION_TOL).all(axis=0)
+    a, b, c, d = np.where(pops < 0.0, 0.0, pops)
+    z, valid_z = _clamped(z, np.sqrt(b * c))
+    w, valid_w = _clamped(w, np.sqrt(a * d))
+    return XState(a, b, c, d, z, w), valid & valid_z & valid_w
+
+
+def _clamped(v, bound):
+    """Coherences ``v`` clamped as :func:`validate` clamps them, and a mask
+    of those within ``COHERENCE_TOL`` of ``bound``. Past the bound,
+    ``v * (bound / |v|)`` takes the products of Python's complex-by-float
+    multiply, (re f - im 0) + (re 0 + im f) i."""
+    abs_v = np.hypot(v.real, v.imag)
+    over = abs_v > bound
+    if over.any():
+        f = bound / np.where(over, abs_v, 1.0)
+        v = v.copy()
+        v.real, v.imag = (
+            np.where(over, v.real * f - v.imag * 0.0, v.real),
+            np.where(over, v.real * 0.0 + v.imag * f, v.imag),
+        )
+    return v, abs_v <= bound + COHERENCE_TOL
+
+
+def _concurrence_gap(vec: np.ndarray) -> float:
+    # signed distance of vec(rho), X shaped, to entanglement death:
     # concurrence/2 before clipping
-    a, b, c, d = np.maximum(np.diagonal(m).real, 0.0)
-    return max(abs(m[1, 2]) - np.sqrt(a * d), abs(m[0, 3]) - np.sqrt(b * c))
+    m = vec.tolist()
+    a, b = max(m[0].real, 0.0), max(m[5].real, 0.0)
+    c, d = max(m[10].real, 0.0), max(m[15].real, 0.0)
+    return max(abs(m[6]) - math.sqrt(a * d), abs(m[3]) - math.sqrt(b * c))
+
+
+def _expm_action(liouvillian: np.ndarray, vec: np.ndarray, width: float):
+    """The function tau -> expm(liouvillian * tau) @ vec on 0 <= tau <= width.
+
+    The action of the exponential on one vector from truncated Taylor series
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). The bracket is
+    cut into the fewest equal pieces with ||L||_1 * piece <= TAYLOR_SPAN.
+    About the start v_j of piece j the series keeps the terms
+    (L piece)^k v_j / k! up to the first one whose bound, the k-th term of
+    exp(||L||_1 * piece), is below the unit roundoff. The terms of a piece
+    are computed when a point first falls in it, with v_j = expm(L piece)^j
+    v; after that a point costs one (K,) @ (K, 16) product.
+    """
+    span = np.abs(liouvillian).sum(axis=0).max() * width
+    pieces = max(1, math.ceil(span / TAYLOR_SPAN))
+    step = width / pieces
+    count, term = 0, 1.0  # terms kept, and the bound of the first one dropped
+    while term > _UNIT_ROUNDOFF:
+        count += 1
+        term *= span / pieces / count
+    gen = liouvillian * step
+    hop = _kernels.expm(gen) if pieces > 1 else None
+    exponents = np.arange(count, dtype=float)
+    factorials = np.cumprod(np.maximum(exponents, 1.0))[:, None]
+    terms = {}  # piece -> its terms as a (count, 32) real array
+
+    def action(tau: float) -> np.ndarray:
+        u = tau / step
+        j = min(int(u), pieces - 1)
+        if j not in terms:
+            t = np.empty((count, 16), dtype=np.complex128)
+            t[0] = vec if j == 0 else np.linalg.matrix_power(hop, j) @ vec
+            for k in range(1, count):
+                np.matmul(gen, t[k - 1], out=t[k])
+            terms[j] = (t / factorials).view(np.float64)
+        return np.dot((u - j) ** exponents, terms[j]).view(np.complex128)
+
+    return action
 
 
 def esd_time(
@@ -436,39 +594,38 @@ def esd_time(
 
     Scans the sampled concurrence for the first value <= ``tol`` that is
     followed by ``confirm`` equally dead samples, then refines the crossing
-    by bisection, propagating the preceding sample exactly with
-    expm(L tau) to each midpoint. Returns None when the concurrence never
-    vanishes on the horizon.
+    by bisection between that sample and the one before. The state at each
+    midpoint is the action expm(L tau) v on the earlier sample v, summed from
+    Taylor terms computed once for the bracket (:func:`_expm_action`), so a
+    midpoint costs one small product. Returns None when the concurrence
+    never vanishes on the horizon.
     """
     if "concurrence" in traj.measures:
         conc = traj.measures["concurrence"]
     else:
-        conc = measures.concurrence(stack(traj.states))
-    n = len(conc)
-    hit = None
-    for i in range(n):
-        if conc[i] <= tol and i + confirm < n and np.all(conc[i + 1 : i + 1 + confirm] <= tol):
-            hit = i
-            break
+        conc = measures.concurrence(traj.samples)
+    dead = (conc <= tol).tolist()
+    hit = next(
+        (i for i in range(len(dead) - confirm) if all(dead[i : i + 1 + confirm])), None
+    )
     if hit is None:
         return None
     if hit == 0:
         return 0.0
     lo_t = float(traj.times[hit - 1])
     hi_t = float(traj.times[hit])
-    lo_rho = traj.states[hit - 1].to_matrix()
-    if _concurrence_gap(lo_rho) <= 0.0:
+    lo_vec = traj.samples.to_matrix()[hit - 1].reshape(16)
+    if _concurrence_gap(lo_vec) <= 0.0:
         return lo_t
-    liouvillian = superoperator(traj.spec)
-    lo_vec = lo_rho.reshape(16)
+    action = _expm_action(traj.liouvillian, lo_vec, hi_t - lo_t)
     lo, hi = lo_t, hi_t
+    resolution = 1e-12 * max(1.0, hi_t)
     for _ in range(refine_iterations):
         mid_t = 0.5 * (lo + hi)
-        rho = (_kernels.expm(liouvillian * (mid_t - lo_t)) @ lo_vec).reshape(4, 4)
-        if _concurrence_gap(rho) > 0.0:
+        if _concurrence_gap(action(mid_t - lo_t)) > 0.0:
             lo = mid_t
         else:
             hi = mid_t
-        if hi - lo < 1e-12 * max(1.0, hi_t):
+        if hi - lo < resolution:
             break
     return 0.5 * (lo + hi)

@@ -331,16 +331,15 @@ def save_report(path: str, report_dict: dict, fmt: str = "json") -> None:
 
 
 def trajectory_to_csv(traj) -> str:
+    """One row per sample: time, the state's parameters and the recorded
+    measures, each value at 17 significant digits."""
     names = sorted(traj.measures)
     header = "time,a,b,c,d,z_re,z_im,w_re,w_im" + "".join("," + n for n in names)
-    lines = [header]
-    for i, t in enumerate(traj.times):
-        s = traj.states[i]
-        z, w = complex(s.z), complex(s.w)
-        row = [t, s.a, s.b, s.c, s.d, z.real, z.imag, w.real, w.imag]
-        row.extend(traj.measures[n][i] for n in names)
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    s = traj.samples
+    columns = [traj.times, s.a, s.b, s.c, s.d, s.z.real, s.z.imag, s.w.real, s.w.imag]
+    columns += [traj.measures[n] for n in names]
+    cells = [["%.17g" % v for v in col.tolist()] for col in columns]
+    return "\n".join([header] + [",".join(row) for row in zip(*cells)]) + "\n"
 
 
 def save_trajectory(path: str, traj) -> None:

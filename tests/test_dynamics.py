@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xstates as xs
-from xstates import _kernels
+from xstates import _kernels, dynamics
+from xstates.core import X_MASK
 from xstates.dynamics import Grade, pauli_string_matrix, pauli_tensor
 from xstates.errors import (
     CompletenessViolated,
@@ -19,6 +20,7 @@ from xstates.errors import (
     NonOrthonormalOperators,
     NotHermitian,
     NotPreserving,
+    StepRejected,
 )
 from conftest import random_states
 
@@ -59,6 +61,25 @@ def rotated_zi_xi_spec(gamma: float = 1.0) -> xs.LindbladSpec:
     return xs.LindbladSpec.from_rates(
         [(zi + xi) / math.sqrt(2), (zi - xi) / math.sqrt(2)], [gamma, gamma]
     )
+
+
+def leaky_rotated_spec() -> xs.LindbladSpec:
+    """{ZI, XI} at rate 0.7 rewritten as {0.6 ZI + 0.8 XI, 0.8 ZI - 0.6 XI}:
+    the cross terms of the two operators cancel only to rounding, so the
+    propagated samples leak a little weight off the pattern. (In the
+    {(ZI +- XI)/sqrt(2)} set at equal rates they cancel exactly.)"""
+    zi, xi = pauli_string_matrix("ZI"), pauli_string_matrix("XI")
+    return xs.LindbladSpec.from_rates([0.6 * zi + 0.8 * xi, 0.8 * zi - 0.6 * xi], [0.7, 0.7])
+
+
+def project_sample(vec: np.ndarray):
+    """One propagated sample checked on its own: the Hermitian part,
+    normalised by its trace, read back by from_matrix from its projection
+    onto the pattern, and the leakage of its off-pattern part."""
+    rho = vec.reshape(4, 4)
+    sym = 0.5 * (rho + rho.conj().T)
+    sym = sym / float(sym.trace().real)
+    return xs.from_matrix(np.where(X_MASK, sym, 0.0)), xs.off_pattern_norm(sym)
 
 
 def dense_generator(spec: xs.LindbladSpec, rho: np.ndarray) -> np.ndarray:
@@ -555,6 +576,89 @@ class TestEvolve:
         assert traj.measures["concurrence"][0] == pytest.approx(1.0)
         assert len(traj.measures["purity"]) == len(traj.times)
 
+    def test_states_view_the_samples(self):
+        spec = xs.LindbladSpec.from_rates([pauli_string_matrix("ZI")], [1.0])
+        traj = xs.evolve(spec, xs.werner(0.7), dt=1e-2, t_max=0.5, sample_every=10)
+        assert isinstance(traj.states, tuple) and len(traj.states) == len(traj.times) == 6
+        for i, s in enumerate(traj.states):
+            assert s == xs.XState(*(getattr(traj.samples, k)[i] for k in "abcdzw"))
+
+    def test_bad_step_counts_rejected(self, monkeypatch):
+        spec = xs.LindbladSpec(operators=(), coupling=np.zeros((0, 0)))
+        for dt, t_max in ((1e-3, -5.0), (1e-300, 1e300), (1e-3, 1e6)):
+            with pytest.raises(ValueError):
+                xs.evolve(spec, xs.werner(0.5), dt=dt, t_max=t_max)
+        # 10 steps sampled every 3 give the initial state and 4 samples
+        monkeypatch.setattr(dynamics, "MAX_SAMPLES", 5)
+        assert len(xs.evolve(spec, xs.werner(0.5), dt=0.1, t_max=1.0, sample_every=3).times) == 5
+        with pytest.raises(ValueError, match="10 steps sampled every 2 give 6 samples"):
+            xs.evolve(spec, xs.werner(0.5), dt=0.1, t_max=1.0, sample_every=2)
+
+    def test_batched_checks_match_per_sample_route(self):
+        # X states, a quarter of them with w on its positivity bound, plus
+        # rounding-sized noise on every entry: the batch must give every
+        # value of the per-sample route bit for bit, clamped coherences too
+        rng = np.random.default_rng(12)
+        vecs = []
+        for i in range(400):
+            x = xs.random_xstate(12, i, complex_phases=True)
+            if i % 4 == 0:
+                x = xs.XState(x.a, x.b, x.c, x.d, x.z, math.sqrt(x.a * x.d) * x.w / abs(x.w))
+            noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            vecs.append((x.to_matrix() + 1e-15 * noise).reshape(16))
+        batch, leak = dynamics._checked_samples(np.array(vecs), np.arange(400.0), 1e-10)
+        single = [project_sample(v) for v in vecs]
+        expected = xs.stack([state for state, _ in single])
+        for k in "abcdzw":
+            assert getattr(batch, k).tobytes() == getattr(expected, k).tobytes(), k
+        assert leak.tobytes() == np.array([lk for _, lk in single]).tobytes()
+        clamped = [x for x in xs.unstack(batch) if abs(x.w) == math.sqrt(x.a * x.d)]
+        assert len(clamped) > 20
+
+    @pytest.mark.parametrize("faults, message", [
+        (("leak", "drift"), "sample at t = 0.2: off-pattern leakage 1e-09 exceeds 1e-10"),
+        (("drift", "leak"), "sample at t = 0.2: trace drifted to 1.5"),
+        (("negative", "drift"), "sample at t = 0.2: sampled state failed validation: "
+                                "population b = -1e-09 is negative"),
+        ((None, "negative"), "sample at t = 0.3: sampled state failed validation: "
+                             "population b = -1e-09 is negative"),
+    ])
+    def test_rejection_names_the_first_failing_sample(self, faults, message):
+        vecs = []
+        for fault in (None,) + faults:
+            m = xs.bell(0).to_matrix()
+            if fault == "drift":
+                m[0, 0] += 0.5
+            elif fault == "leak":
+                m[0, 1] = m[1, 0] = 1e-9 / math.sqrt(2)
+            elif fault == "negative":
+                m[1, 1] -= 1e-9
+                m[0, 0] += 1e-9
+            vecs.append(m.reshape(16))
+        with pytest.raises(StepRejected) as info:
+            dynamics._checked_samples(np.array(vecs), np.array([0.1, 0.2, 0.3]), 1e-10)
+        assert str(info.value).startswith(message)
+
+    def test_leak_rejection_names_the_first_leaking_sample(self):
+        spec = leaky_rotated_spec()
+        x0 = xs.validate(0.4, 0.3, 0.2, 0.1, z=0.12 + 0.16j, w=0.09 - 0.12j)
+        dt, every, steps = 1e-2, 5, 60
+        hop = np.linalg.matrix_power(_kernels.expm(xs.superoperator(spec) * dt), every)
+        vec, leaks = x0.to_matrix().reshape(16), []
+        for _ in range(steps // every):
+            vec = hop @ vec
+            leaks.append(project_sample(vec)[1])
+        traj = xs.evolve(spec, x0, dt, steps * dt, every)
+        assert traj.max_leakage == max(leaks) > 0.0
+        tol = sorted(leaks)[len(leaks) // 2]
+        first = next(i for i, leak in enumerate(leaks) if leak > tol)
+        assert first > 0
+        with pytest.raises(StepRejected) as info:
+            xs.evolve(spec, x0, dt, steps * dt, every, leakage_tol=tol)
+        assert str(info.value).startswith(
+            f"sample at t = {(first + 1) * every * dt!r}: off-pattern leakage"
+        )
+
 
 class TestEsd:
     def test_initially_separable_state(self):
@@ -582,3 +686,85 @@ class TestEsd:
         traj_half = xs.evolve(spec, x0, dt=5e-4, t_max=2.0, sample_every=20)
         t2 = xs.esd_time(traj_half)
         assert abs(t1 - t2) < 1e-4
+
+    @pytest.mark.parametrize("rates, hamiltonian, dt, every, min_span", [
+        # unit-rate damping sampled every 0.1: ||L||_1 * bracket is 0.8, so
+        # one Taylor sum spans the whole bracket
+        ((1.0, 1.0), None, 1e-2, 10, 0.5),
+        # strong damping and a strong Hamiltonian: ||L||_1 * bracket is about
+        # 73, so the bracket is cut into pieces
+        ((2.0, 3.0), {"ZZ": 40.0, "XX": 30.0, "YY": 30.0}, 0.1, 5, 50.0),
+    ])
+    def test_taylor_action_matches_expm_at_midpoints(
+        self, monkeypatch, rates, hamiltonian, dt, every, min_span
+    ):
+        ham = None
+        if hamiltonian:
+            ham = sum(c * pauli_string_matrix(p) for p, c in hamiltonian.items())
+        spec = xs.LindbladSpec(damping_spec().operators, np.diag(rates).astype(complex), ham)
+        traj = xs.evolve(spec, xs.werner(0.95), dt=dt, t_max=3.0, sample_every=every)
+        seen = []
+        action = dynamics._expm_action
+
+        def recording(liouvillian, vec, width):
+            evaluate = action(liouvillian, vec, width)
+            span = np.abs(liouvillian).sum(axis=0).max() * width
+
+            def at(tau):
+                out = evaluate(tau)
+                seen.append((liouvillian, vec, span, tau, out))
+                return out
+
+            return at
+
+        monkeypatch.setattr(dynamics, "_expm_action", recording)
+        assert xs.esd_time(traj) is not None
+        assert len(seen) > 30 and seen[0][2] > min_span
+        for liouvillian, vec, _, tau, out in seen:
+            exact = _kernels.expm(liouvillian * tau) @ vec
+            assert np.linalg.norm(out - exact) <= 1e-14 * np.linalg.norm(exact)
+
+    def test_damped_werner_matches_frozen_values(self):
+        # esd_time of the propagation with a fresh expm(L tau) at each
+        # bisection midpoint, on damped Werner states without and with an
+        # X-shaped Hamiltonian j (XX + YY) + ZZ / 2: the Taylor action must
+        # take the same bisection steps to the same bits
+        for eps, g_a, g_b, j, dt, every, expected in FROZEN_ESD:
+            ham = None
+            if j:
+                ham = j * (pauli_string_matrix("XX") + pauli_string_matrix("YY"))
+                ham = ham + 0.5 * pauli_string_matrix("ZZ")
+            spec = xs.LindbladSpec(damping_spec().operators,
+                                   np.diag([g_a, g_b]).astype(complex), ham)
+            traj = xs.evolve(spec, xs.werner(eps), dt=dt, t_max=3.0, sample_every=every)
+            assert xs.esd_time(traj) == expected, (eps, g_a, g_b, j, dt, every)
+
+
+# (eps, gamma_a, gamma_b, j, dt, sample_every, esd_time), made with the
+# expm-per-midpoint bisection
+FROZEN_ESD = [
+    (0.5, 0.6, 0.5, 0.0, 0.001, 10, 0.36984660211339354),
+    (0.52, 0.7, 0.65, 0.0, 0.01, 3, 0.34060083629257865),
+    (0.54, 0.8, 0.8, 0.0, 0.005, 7, 0.32197751585288636),
+    (0.56, 0.9, 0.95, 0.0, 0.001, 10, 0.3095854550282821),
+    (0.58, 1.0, 1.1, 0.0, 0.01, 3, 0.30121902220256735),
+    (0.6, 0.6, 1.25, 0.0, 0.005, 7, 0.40461351438487314),
+    (0.62, 0.7, 1.4, 0.0, 0.001, 10, 0.38758681950363094),
+    (0.64, 0.8, 0.5, 0.0, 0.01, 3, 0.6560530277485668),
+    (0.66, 0.9, 0.65, 0.0, 0.005, 7, 0.5861815962005859),
+    (0.6799999999999999, 1.0, 0.8, 0.0, 0.001, 10, 0.5409115338340054),
+    (0.7, 0.6, 0.95, 0.0, 0.01, 3, 0.6988012706306472),
+    (0.72, 0.7, 1.1, 0.0, 0.005, 7, 0.6487270316965803),
+    (0.74, 0.8, 1.25, 0.25, 0.001, 10, 0.6042383851882189),
+    (0.76, 0.9, 1.4, 0.5, 0.01, 3, 0.5612486294626433),
+    (0.78, 1.0, 0.5, 0.75, 0.005, 7, 0.8157339029167268),
+    (0.8, 0.6, 0.65, 1.0, 0.001, 10, 1.2030857838928934),
+    (0.8200000000000001, 0.7, 0.8, 1.25, 0.01, 3, 1.0803235046802735),
+    (0.8400000000000001, 0.8, 0.95, 1.5, 0.005, 7, 0.9995580134599369),
+    (0.86, 0.9, 1.1, 1.75, 0.001, 10, 0.9467928636432041),
+    (0.88, 1.0, 1.25, 2.0, 0.01, 3, 0.9145941910393593),
+    (0.9, 0.6, 1.4, 2.25, 0.005, 7, 1.0517453810619917),
+    (0.9199999999999999, 0.7, 0.5, 2.5, 0.001, 10, 2.0676764668518444),
+    (0.94, 0.8, 0.65, 2.75, 0.01, 3, 1.9165444034148824),
+    (0.96, 0.9, 0.8, 3.0, 0.005, 7, 1.8798447885970382),
+]

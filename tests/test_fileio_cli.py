@@ -405,6 +405,9 @@ _INPUTS = {
     "huge_kraus.json": json.dumps({"kraus": [(1e200 * np.eye(4)).tolist()]}),
     "huge_sample_every.json": json.dumps({**_DEPHASING, "sample_every": 1.0}).replace(
         '"sample_every": 1.0', '"sample_every": 1e999'),
+    "negative_t_max.json": json.dumps({**_DEPHASING, "t_max": -5}),
+    "infinite_steps.json": json.dumps({**_DEPHASING, "dt": 1e-300, "t_max": 1e300}),
+    "too_many_samples.json": json.dumps({**_DEPHASING, "t_max": 100.0}),
 }
 
 
@@ -472,6 +475,19 @@ _ERROR_CASES = [
                                  "'mid', 'negativity', 'purity']", ["nested_measure.json"]),
                  id="evolve-unhashable-measure"),
     pytest.param("check --in huge_kraus.json", 2, "error", None, id="check-overflow"),
+    pytest.param("evolve --in negative_t_max.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "t_max must be >= 0, got -5.0",
+                                 ["negative_t_max.json"]),
+                 id="evolve-negative-t-max"),
+    pytest.param("evolve --in infinite_steps.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "t_max / dt = 1e+300 / 1e-300 is not a finite "
+                                 "step count", ["infinite_steps.json"]),
+                 id="evolve-infinite-step-count"),
+    pytest.param("evolve --in too_many_samples.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "100000 steps sampled every 1 give "
+                                 "100001 samples, more than 100000",
+                                 ["too_many_samples.json"]),
+                 id="evolve-too-many-samples"),
     # the error manifest cannot be written; the error still exits as itself
     pytest.param("measures --in bad.json --out nodir/out.json", 2, "error", None,
                  id="measures-invalid-state-missing-out-dir"),
@@ -512,9 +528,12 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8,
 )
-# dt and t_max keep an evolve run to at most 1000 steps
+# dt and t_max keep an evolve run to at most 1000 steps, or make evolve
+# reject it before the first step (1e-300 and 1e300 ask for a step count that
+# is not finite or for too many samples)
 _STEP_VALUES = st.sampled_from(
-    [1e-3, 0.5, "0.5", True, 0, -1.0, math.nan, math.inf, -math.inf, None, "x", [0.5], {}]
+    [1e-3, 0.5, "0.5", True, 0, -1.0, math.nan, math.inf, -math.inf, None, "x", [0.5], {},
+     1e-300, 1e300]
 )
 _SAMPLE_DOCUMENTS = {
     "measures": [

@@ -28,6 +28,7 @@ REPORT_DIGESTS = {
 }
 CAMPAIGN_DIGEST = "726fcf9df6a1d538a15d734e65815cb4ab134a2f78211a199d4a1073fa895f41"
 EVOLVE_DIGEST = "2aa1530d32452cb465be07d459d5efd7ff6153104a34c5480a110e0aea1bf5cf"
+EVOLVE_ROTATED_DIGEST = "23da5c0eb80227099d16bf7619064f52f4b3ba2eac473841929c3dd02536fe91"
 
 _DURATION = re.compile(rb'"duration_s": [^,}]+')
 
@@ -68,6 +69,25 @@ DAMPED_WERNER = {
 }
 
 
+ROTATED_DEPHASING = {
+    # {ZI, XI} dephasing at equal rates written in the rotated operator set
+    # {0.6 ZI + 0.8 XI, 0.8 ZI - 0.6 XI}, under an X-shaped Hamiltonian, from a
+    # state with complex coherences. The operators mix the two support
+    # patterns and their cross terms cancel only to rounding, so a little
+    # weight leaks off the pattern and max_leakage is a nonzero float. 73
+    # steps sampled every 5 end on a short interval of 3 steps.
+    "initial_state": {"a": 0.4, "b": 0.15, "c": 0.1, "d": 0.35,
+                      "z": {"re": 0.05, "im": -0.08}, "w": {"re": 0.2, "im": 0.25}},
+    "operators": [{"ZI": 0.6, "XI": 0.8}, {"ZI": 0.8, "XI": -0.6}],
+    "rates": [0.7, 0.7],
+    "hamiltonian": {"ZZ": 0.5, "XX": 0.3, "YX": -0.2, "IZ": 0.1},
+    "dt": 0.01,
+    "t_max": 0.73,
+    "sample_every": 5,
+    "measures": ["concurrence", "negativity", "purity"],
+}
+
+
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -102,3 +122,14 @@ def test_evolve_damped_werner(workdir):
     manifest = json.loads((workdir / "traj.csv.manifest.json").read_text())
     assert manifest["esd_time"] is not None
     assert digest(workdir / "traj.csv", workdir / "traj.csv.manifest.json") == EVOLVE_DIGEST
+
+
+def test_evolve_rotated_dephasing(workdir):
+    (workdir / "config.json").write_text(json.dumps(ROTATED_DEPHASING))
+    assert main(["evolve", "--in", "config.json", "--out", "traj.csv"]) == 0
+    manifest = json.loads((workdir / "traj.csv.manifest.json").read_text())
+    assert manifest["max_leakage"] > 0.0
+    rows = (workdir / "traj.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows[-2:]] == [0.7000000000000001, 0.73]
+    traj_digest = digest(workdir / "traj.csv", workdir / "traj.csv.manifest.json")
+    assert traj_digest == EVOLVE_ROTATED_DIGEST
