@@ -270,15 +270,27 @@ def load_dynamics_config(path: str) -> dict:
     for key in ("initial_state", "dt", "t_max"):
         if key not in obj:
             raise ValueError(f"dynamics config lacks key {key!r}")
+    measures = obj.get("measures", ["concurrence"])
+    if not isinstance(measures, list):
+        raise ValueError(f"measures must be a list of names, got {measures!r}")
     with _parsing("dynamics config"):
         return {
             "spec": lindblad_from_obj(obj),
             "initial_state": state_from_obj(obj["initial_state"]),
-            "dt": float(obj["dt"]),
-            "t_max": float(obj["t_max"]),
-            "sample_every": int(obj.get("sample_every", 1)),
-            "measures": tuple(obj.get("measures", ["concurrence"])),
+            "dt": _number(obj["dt"], "dt", float),
+            "t_max": _number(obj["t_max"], "t_max", float),
+            "sample_every": _number(obj.get("sample_every", 1), "sample_every", int),
+            "measures": tuple(measures),
         }
+
+
+def _number(value, key: str, kind):
+    """``kind(value)`` of a JSON number, refusing bools and lost fractions."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if kind is int and int(value) != value:
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return kind(value)
 
 
 def load_check_config(path: str):

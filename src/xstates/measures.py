@@ -5,18 +5,19 @@ classical correlations, and the measurement-induced disturbance."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import FanoParams, XState, to_fano
+from .core import FanoParams, XState, _max, _min, _sqrt, _where, to_fano
 from .errors import NotMMM, UnnormalizedPhases
 from .spectral import _block_spectrum, entropy
 
 SCHMIDT_THRESHOLD = 1e-10
 MMM_TOL = 1e-10
-_TWO_SQRT2 = 2.0 * np.sqrt(2.0)
+_TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
 def _moduli(x: XState) -> XState:
@@ -28,8 +29,8 @@ def _moduli(x: XState) -> XState:
 
 def concurrence(x: XState):
     """Wootters concurrence, 2 max{0, |z| - sqrt(ad), |w| - sqrt(bc)}."""
-    gap = np.maximum(x.abs_z - np.sqrt(x.a * x.d), x.abs_w - np.sqrt(x.b * x.c))
-    return 2.0 * np.maximum(gap, 0.0)
+    gap = _max(x.abs_z - _sqrt(x.a * x.d), x.abs_w - _sqrt(x.b * x.c))
+    return 2.0 * _max(gap, 0.0)
 
 
 def negativity(x: XState):
@@ -42,7 +43,7 @@ def negativity(x: XState):
     # the spectrum of spectral.partial_transpose (|z| and |w| exchanged);
     # its least eigenvalue is the lesser of the two blocks' lower ones
     _, u_minus, _, r_minus = _block_spectrum(x.a, x.b, x.c, x.d, x.abs_w, x.abs_z)
-    return np.maximum(-np.minimum(u_minus, r_minus), 0.0)
+    return _max(-_min(u_minus, r_minus), 0.0)
 
 
 def fef(x: XState):
@@ -51,7 +52,7 @@ def fef(x: XState):
     Returns E in [-1, 1]; the corresponding best Bell-state fidelity is
     (E + 1)/2.
     """
-    return np.maximum(
+    return _max(
         x.a + x.d + 2.0 * x.abs_w - 1.0,
         x.b + x.c + 2.0 * x.abs_z - 1.0,
     )
@@ -79,14 +80,17 @@ def schmidt_spectrum(x: XState) -> SchmidtSpectrum:
 
 def _schmidt(f: FanoParams) -> SchmidtSpectrum:
     q = 1.0 + f.A3 * f.A3 + f.B3 * f.B3 + f.C3 * f.C3
-    root = np.sqrt(np.maximum(q * q - 4.0 * (f.C3 - f.A3 * f.B3) ** 2, 0.0))
-    s = np.array([
+    # ``** 2`` here and in _entropies stays (see core._hypot)
+    root = _sqrt(_max(q * q - 4.0 * (f.C3 - f.A3 * f.B3) ** 2, 0.0))
+    s = [
         0.5 * abs(f.C1),
         0.5 * abs(f.C2),
-        np.sqrt(np.maximum(q + root, 0.0)) / _TWO_SQRT2,
-        np.sqrt(np.maximum(q - root, 0.0)) / _TWO_SQRT2,
-    ])
-    return SchmidtSpectrum(np.sort(s, axis=0)[::-1])
+        _sqrt(_max(q + root, 0.0)) / _TWO_SQRT2,
+        _sqrt(_max(q - root, 0.0)) / _TWO_SQRT2,
+    ]
+    if type(root) is float:
+        return SchmidtSpectrum(np.array(sorted(s, reverse=True)))
+    return SchmidtSpectrum(np.sort(np.array(s), axis=0)[::-1])
 
 
 def schmidt_number(spectrum: SchmidtSpectrum):
@@ -109,15 +113,15 @@ def geometric_discord_fano(f: FanoParams, side: str = "A", variant: str = "gener
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     x3 = f.A3 if side == "A" else f.B3
     if variant == "paper":
-        return 0.25 * np.minimum(
+        return 0.25 * _min(
             f.C1 * f.C1 + f.C2 * f.C2,
             f.C1 * f.C1 + f.C3 * f.C3 + x3 * x3,
         )
     if variant != "general":
         raise ValueError(f"variant must be 'general' or 'paper', got {variant!r}")
-    k_max = np.maximum(np.maximum(f.C1 * f.C1, f.C2 * f.C2), f.C3 * f.C3 + x3 * x3)
+    k_max = _max(_max(f.C1 * f.C1, f.C2 * f.C2), f.C3 * f.C3 + x3 * x3)
     total = x3 * x3 + f.C1 * f.C1 + f.C2 * f.C2 + f.C3 * f.C3
-    return 0.25 * np.maximum(total - k_max, 0.0)
+    return 0.25 * _max(total - k_max, 0.0)
 
 
 def geometric_discord(x: XState, side: str = "A", variant: str = "general"):
@@ -140,17 +144,18 @@ def _entropies(m: XState, f: FanoParams, side: str) -> _Entropies:
     :func:`_moduli` with Fano coordinates ``f`` and ``side`` measured, from
     one -p log2 p pass over the zero-padded distributions (one per column)."""
     bc = m.b - m.c if side == "B" else m.c - m.b
-    root = np.minimum(np.sqrt((m.a - m.d + bc) ** 2 + 4.0 * (m.abs_z + m.abs_w) ** 2), 1.0)
-    c = np.maximum(np.maximum(abs(f.C1), abs(f.C2)), abs(f.C3))
+    root = _min(_sqrt((m.a - m.d + bc) ** 2 + 4.0 * (m.abs_z + m.abs_w) ** 2), 1.0)
+    c = _max(_max(abs(f.C1), abs(f.C2)), abs(f.C3))
     pa, pb, zero = m.a + m.b, m.a + m.c, 0.0 * m.a
     l0, l1, l2, l3 = _block_spectrum(m.a, m.b, m.c, m.d, m.abs_z, m.abs_w)
-    return _Entropies(*entropy(np.array([
+    h = entropy(np.array([
         # rho  diag  rho_A     rho_B     N1                MMM
         (l0,   m.a,  pa,       pb,       0.5 + 0.5 * root, 0.5 * (1.0 + c)),
         (l1,   m.b,  1.0 - pa, 1.0 - pb, 0.5 - 0.5 * root, 0.5 * (1.0 - c)),
         (l2,   m.c,  zero,     zero,     zero,             zero),
         (l3,   m.d,  zero,     zero,     zero,             zero),
-    ])))
+    ]))
+    return _Entropies(*(h.tolist() if h.ndim == 1 else h))
 
 
 def _state_entropies(x: XState, side: str) -> _Entropies:
@@ -223,7 +228,7 @@ def approx_discord(x: XState, side: str = "B") -> ApproxDiscord:
 
 def _approx(ent: _Entropies, side: str) -> ApproxDiscord:
     n2 = ent.diag - (ent.b if side == "B" else ent.a)
-    q, cc, mi = _correlations(ent, side, np.minimum(ent.n1, n2))
+    q, cc, mi = _correlations(ent, side, _min(ent.n1, n2))
     return ApproxDiscord(q, ent.n1, n2, cc, mi, side)
 
 
@@ -262,13 +267,8 @@ class MeasureReport:
     def to_dict(self) -> dict:
         """Plain Python values (lists over the states for a batch)."""
         # vars() holds the fields in their order
-        return {k: _plain(v) for k, v in vars(self).items()}
-
-
-def _plain(v):
-    if type(v) is np.float64:  # most fields of one state's report
-        return float(v)
-    return v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+        return {k: v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+                for k, v in vars(self).items()}
 
 
 def report(x: XState, side: str = "B") -> MeasureReport:
@@ -294,6 +294,6 @@ def report(x: XState, side: str = "B") -> MeasureReport:
         classical_correlation=ad.classical_correlation,
         mutual_information=ad.mutual_information,
         mid=ent.diag - ent.full,
-        mmm_discord=np.where(_is_mmm(f), _mmm(ent), None)[()],
+        mmm_discord=_where(_is_mmm(f), _mmm(ent), None),
         side=side,
     )

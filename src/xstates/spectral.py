@@ -61,9 +61,10 @@ def entropy(p) -> np.ndarray:
 
 def purity(x: XState):
     """tr(rho^2) = a^2 + b^2 + c^2 + d^2 + 2|w|^2 + 2|z|^2."""
+    # products, as a batch squares (see core._hypot)
     return (
         x.a * x.a + x.b * x.b + x.c * x.c + x.d * x.d
-        + 2.0 * x.abs_w ** 2 + 2.0 * x.abs_z ** 2
+        + 2.0 * (x.abs_w * x.abs_w) + 2.0 * (x.abs_z * x.abs_z)
     )
 
 

@@ -2,16 +2,19 @@
 state, and each state's value equals the frozen per-state values of the
 implementation that preceded the batch closed forms."""
 
+import cmath
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xstates as xs
 from xstates import fileio
 from test_oracle import phase_normalized_states
+from test_output_bytes import edge_states
 
 # Values of every function below on batch_corpus(), computed one state at a
 # time by the implementation at git commit 28e63fb (before the closed forms
@@ -126,6 +129,66 @@ class TestStack:
             xs.mmm_discord(xs.stack([xs.werner(0.5), xs.validate(0.4, 0.3, 0.2, 0.1)]))
 
 
+_FRACTIONS = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+_EDGE_STATES = st.sampled_from(edge_states())
+
+
+@st.composite
+def states_with_edges(draw):
+    """A state of :func:`edge_states`, or one with populations and coherence
+    fractions of their bounds that land on 0, 1/2 and 1 as often as
+    anywhere else, and coherence phases on and off the axes."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_EDGE_STATES)
+    pops = [draw(_FRACTIONS) for _ in range(4)]
+    total = sum(pops)
+    if total == 0.0:
+        pops, total = [1.0, 1.0, 1.0, 1.0], 4.0
+    a, b, c, d = (p / total for p in pops)
+    fz, fw, turn_z, turn_w = (draw(_FRACTIONS) for _ in range(4))
+    z = fz * math.sqrt(b * c) * cmath.exp(2j * math.pi * turn_z)
+    w = fw * math.sqrt(a * d) * cmath.exp(2j * math.pi * turn_w)
+    return xs.validate(a, b, c, d, z=z, w=w)
+
+
+def public_values(x) -> dict:
+    """Every public measure of a state or a batch, keyed ``name/side``."""
+    ss = xs.schmidt_spectrum(xs.normalize_phases(x).state)
+    out = {
+        "concurrence": xs.concurrence(x), "negativity": xs.negativity(x), "fef": xs.fef(x),
+        "mid": xs.mid(x), "purity": xs.purity(x), "eigenvalues": xs.eigenvalues(x),
+        "entropy": xs.entropy(xs.eigenvalues(x)), "schmidt_spectrum": ss.values,
+        "schmidt_number": xs.schmidt_number(ss),
+    }
+    for side in "AB":
+        for variant in ("general", "paper"):
+            out[f"geometric_discord.{variant}/{side}"] = xs.geometric_discord(
+                x, side=side, variant=variant)
+        ad = xs.approx_discord(x, side=side)
+        out.update({f"approx_discord.{k}/{side}": getattr(ad, k) for k in APPROX_FIELDS})
+        rep = xs.report(x, side=side).to_dict()
+        out.update({f"report.{k}/{side}": v for k, v in rep.items() if k != "side"})
+    return out
+
+
+# Values that go through a ``** 2`` of measures._schmidt or measures._entropies,
+# which one state takes with libm's pow and a batch with numpy's square
+_POW_DEPENDENT = {
+    "schmidt_spectrum", "approx_discord.q", "approx_discord.n1",
+    "approx_discord.classical_correlation", "report.schmidt_values",
+    "report.approx_discord", "report.classical_correlation",
+}
+
+
+def squares_round_alike(x) -> bool:
+    """Whether pow and x * x agree on every square of ``_POW_DEPENDENT``'s
+    formulas for the state ``x``; they differ on about 0.1% of inputs."""
+    f = xs.to_fano(x)
+    bases = (f.C3 - f.A3 * f.B3, x.a - x.d + (x.b - x.c), x.a - x.d + (x.c - x.b),
+             x.abs_z + x.abs_w)
+    return all(t ** 2 == t * t for t in bases)
+
+
 BATCH_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
 
@@ -147,3 +210,55 @@ class TestDiscordProperties:
                     "geometric_discord_general", "geometric_discord_paper", "mid"):
             assert getattr(ra, key) == pytest.approx(getattr(rb, key), abs=1e-12), key
         assert (ra.mmm_discord is None) == (rb.mmm_discord is None)
+
+    @BATCH_PROPERTY
+    @given(st.lists(states_with_edges(), min_size=1, max_size=4))
+    def test_q_plus_c_is_i(self, states):
+        for x in (*states, xs.stack(states)):
+            for side in "AB":
+                ad, orc = xs.approx_discord(x, side=side), xs.discord_oracle(x, side=side)
+                for q, c, i in ((ad.q, ad.classical_correlation, ad.mutual_information),
+                                (orc.q_min, orc.classical_correlation, orc.mutual_information)):
+                    assert np.abs(q + c - i).max() <= 1e-12
+
+    @BATCH_PROPERTY
+    @given(states_with_edges(), st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi))
+    def test_measures_unchanged_under_local_phases(self, x, phi, psi):
+        y = xs.validate(x.a, x.b, x.c, x.d,
+                        z=x.z * cmath.exp(1j * phi), w=x.w * cmath.exp(1j * psi))
+        vx, vy = public_values(x), public_values(y)
+        for side in "AB":
+            vx[f"oracle/{side}"] = xs.discord_oracle(x, side=side).q_min
+            vy[f"oracle/{side}"] = xs.discord_oracle(y, side=side).q_min
+        for key, value in vx.items():
+            if value is None or vy[key] is None:
+                assert value is vy[key], key
+            else:
+                assert np.abs(np.asarray(value) - np.asarray(vy[key])).max() <= 1e-12, key
+
+
+IDENTITY_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+class TestSingleStateBytes:
+    """One state's value of every public measure serializes to the same bytes
+    as its element of the ``stack`` batch, negative zeros included."""
+
+    @IDENTITY_PROPERTY
+    @given(st.lists(states_with_edges(), min_size=1, max_size=6))
+    def test_single_state_equals_batch_element(self, states):
+        batch = {k: np.asarray(v) for k, v in public_values(xs.stack(states)).items()}
+        for i, x in enumerate(states):
+            alike = squares_round_alike(x)
+            for key, single in public_values(x).items():
+                element = batch[key][..., i][()]
+                if alike or key.split("/")[0] not in _POW_DEPENDENT:
+                    assert fileio.dumps(single) == fileio.dumps(element), key
+                else:  # an ulp of pow, carried through sqrt and log2
+                    gap = np.asarray(single, float) - np.asarray(element, float)
+                    assert np.abs(gap).max() <= 1e-14, key
+        mmm = [x for x in states if xs.report(x).mmm_discord is not None]
+        if mmm:
+            batch_mmm = xs.mmm_discord(xs.stack(mmm)).tolist()
+            assert [fileio.dumps(xs.mmm_discord(x)) for x in mmm] == [
+                fileio.dumps(v) for v in batch_mmm]

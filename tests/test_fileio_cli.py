@@ -408,6 +408,10 @@ _INPUTS = {
     "negative_t_max.json": json.dumps({**_DEPHASING, "t_max": -5}),
     "infinite_steps.json": json.dumps({**_DEPHASING, "dt": 1e-300, "t_max": 1e300}),
     "too_many_samples.json": json.dumps({**_DEPHASING, "t_max": 100.0}),
+    "fractional_sample_every.json": json.dumps({**_DEPHASING, "sample_every": 2.7}),
+    "bool_sample_every.json": json.dumps({**_DEPHASING, "sample_every": True}),
+    "bool_dt.json": json.dumps({**_DEPHASING, "dt": True}),
+    "string_measures.json": json.dumps({**_DEPHASING, "measures": "concurrence"}),
 }
 
 
@@ -488,6 +492,23 @@ _ERROR_CASES = [
                                  "100001 samples, more than 100000",
                                  ["too_many_samples.json"]),
                  id="evolve-too-many-samples"),
+    # config values are taken as given, never coerced: 2.7 ran as 2, true as
+    # 1 or 1.0, and a string of measure names was split into characters
+    pytest.param("evolve --in fractional_sample_every.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "sample_every must be a whole number, got 2.7",
+                                 ["fractional_sample_every.json"]),
+                 id="evolve-fractional-sample-every"),
+    pytest.param("evolve --in bool_sample_every.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "sample_every must be a number, got True",
+                                 ["bool_sample_every.json"]),
+                 id="evolve-bool-sample-every"),
+    pytest.param("evolve --in bool_dt.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "dt must be a number, got True", ["bool_dt.json"]),
+                 id="evolve-bool-dt"),
+    pytest.param("evolve --in string_measures.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "measures must be a list of names, "
+                                 "got 'concurrence'", ["string_measures.json"]),
+                 id="evolve-string-measures"),
     # the error manifest cannot be written; the error still exits as itself
     pytest.param("measures --in bad.json --out nodir/out.json", 2, "error", None,
                  id="measures-invalid-state-missing-out-dir"),

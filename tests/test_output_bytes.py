@@ -13,6 +13,7 @@ entropies differently in the last bit and so give other digests.
 
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -25,6 +26,10 @@ GEN_DIGEST = "0f17a79d09543e21a33e39a1f0bfeb2347db8a3ed58beb5a731dea6ce08ed91b"
 REPORT_DIGESTS = {
     "A": "c70b82652e65d60398d312b967d9696580b59a7db9f125356cc696d3e0aa470c",
     "B": "bd39562b6edb2225622ff94aeefeb72be95726727948a044cdb395d51d0f9f5d",
+}
+EDGE_REPORT_DIGESTS = {
+    "A": "cf4e3d7ae1effb4e455aaa2ab6aa2ee05008359cde787ade47e46ccc2d35cb87",
+    "B": "7e841494823ef08124f8dd5314706df37fe728fb1fe0387176d9b3cab3c1851f",
 }
 CAMPAIGN_DIGEST = "726fcf9df6a1d538a15d734e65815cb4ab134a2f78211a199d4a1073fa895f41"
 EVOLVE_DIGEST = "2aa1530d32452cb465be07d459d5efd7ff6153104a34c5480a110e0aea1bf5cf"
@@ -109,6 +114,36 @@ def test_corpus_reports(workdir, side):
     lines = [fileio.dumps(xs.report(x, side=side).to_dict()) for x in states]
     fileio.atomic_write("reports.jsonl", "\n".join(lines) + "\n")
     assert digest(workdir / "reports.jsonl") == REPORT_DIGESTS[side]
+
+
+def edge_states() -> list:
+    """States on the ties, zeros and bounds of the closed forms, which random
+    states never reach: where a max or min of two equal values picks one of
+    them, a negative zero can appear in the output."""
+    states = [xs.bell(i) for i in range(4)]
+    states += [xs.werner(eps) for eps in (0.0, 1 / 3, 0.5, 1.0)]
+    states += [xs.validate(1, 0, 0, 0), xs.validate(0.5, 0.5, 0, 0)]
+    states += [xs.validate(*p) for p in ((0, 0, 0, 1), (0.25, 0.25, 0.25, 0.25),
+                                         (0.4, 0.1, 0.1, 0.4), (0.1, 0.2, 0.3, 0.4))]
+    # Bell-diagonal, where mmm_discord is defined: |C_i| ties and corners
+    states += [xs.bell_diagonal(*c) for c in ((0.5, -0.5, 0.5), (0.3, 0.3, 0.3),
+                                              (-1 / 3, -1 / 3, -1 / 3), (0.5, 0.5, 0.0),
+                                              (0.0, 0.0, -1.0), (0.2, -0.4, 0.1))]
+    for a, b, c, d in ((0.1, 0.3, 0.2, 0.4), (0.25, 0.25, 0.25, 0.25), (0.0, 0.5, 0.5, 0.0)):
+        zb, wb = math.sqrt(b * c), math.sqrt(a * d)
+        states += [xs.validate(a, b, c, d, z=zb), xs.validate(a, b, c, d, z=zb, w=wb),
+                   xs.validate(a, b, c, d, z=-1j * zb, w=-wb)]
+    # one zero population
+    states += [xs.validate(0.0, 0.3, 0.3, 0.4, z=0.3), xs.validate(0.2, 0.3, 0.5, 0.0, z=0.1),
+               xs.validate(0.5, 0.0, 0.25, 0.25, w=0.25), xs.validate(0.3, 0.3, 0.0, 0.4)]
+    return states
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_edge_reports(side):
+    lines = [fileio.dumps(xs.report(x, side=side).to_dict()) for x in edge_states()]
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == EDGE_REPORT_DIGESTS[side]
 
 
 def test_validate_approx(workdir):
