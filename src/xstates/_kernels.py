@@ -7,10 +7,10 @@ import math
 
 import numpy as np
 
-# angles of each refinement scan in min_conditional_entropy; each one
+# angles of each rescan of a state whose optimum can be interior; each one
 # narrows the angle spacing (REFINE_POINTS - 1) / 2 = 20-fold
 REFINE_POINTS = 41
-# the search stops once the angle spacing is this fine: below the square
+# the rescans stop once the angle spacing is this fine: below the square
 # root of the double epsilon the entropy is flat to rounding around a minimum
 THETA_TOL = 1e-8
 _REFINE_FRAC = np.linspace(0.0, 1.0, REFINE_POINTS)
@@ -68,6 +68,31 @@ def scan_levels(grid: int) -> int:
     return levels
 
 
+def _keeps_endpoint(t, dd, e, f, q, at_zero):
+    """True where the entropy S rises by a finite slope into [0, pi/4] from
+    the best endpoint, theta = 0 where ``at_zero``, else pi/4 (where S, even
+    in x = cos(2 theta), has S'(0) = 0 and S''(0) decides). Outcome k adds
+    pp h(u / pp) / 2, with pp = t +- x dd, n = e +- x f, u, w = (pp +- R) / 2,
+    R = sqrt(n^2 + q (1 - x^2)), and d(pp h)/dx = -u' log2(u/pp) - w' log2(w/pp).
+    """
+    sign = _OUTCOMES[:, None]
+    with np.errstate(all="ignore"):
+        # dS/dx at x = 1, where R = |n| and R' = (n n' - q) / R
+        pp, dpp, n = t + sign * dd, sign * dd, e + sign * f
+        dr = (sign * n * f - q) / np.abs(n)
+        lam = (pp + np.abs(n)) / (2.0 * pp)
+        slope = -0.25 * ((dpp + dr) * np.log2(lam) + (dpp - dr) * np.log2(1.0 - lam)).sum(axis=0)
+        # S''(0) = -R'' log2(u / w) / 2 - (u'^2 / u + w'^2 / w - dd^2 / t) / ln 2,
+        # where R R'' = f^2 - q - R'^2
+        r = np.sqrt(e * e + q)
+        dr = e * f / r
+        u, w, du, dw = (t + r) / 2, (t - r) / 2, (dd + dr) / 2, (dd - dr) / 2
+        curv = (-0.5 * (f * f - q - dr * dr) / r * np.log2(u / w)
+                - (du * du / u + dw * dw / w - dd * dd / t) / math.log(2.0))
+        rise = np.where(at_zero, -slope, curv)
+    return np.isfinite(rise) & (rise > 0.0)
+
+
 def min_conditional_entropy(a, b, c, d, z, w, grid=64):
     """Minimum of the measured conditional entropy of phase-normalised
     states, where ``a, b, c, d`` and the real, non-negative coherences
@@ -75,38 +100,42 @@ def min_conditional_entropy(a, b, c, d, z, w, grid=64):
 
     For such states the minimum over phi lies at phi = 0, and the entropy is
     symmetric under theta -> pi/2 - theta, so only theta in [0, pi/4] is
-    searched: a scan of ``grid`` evenly spaced angles, then scans of
-    ``REFINE_POINTS`` angles across the bracket of neighbouring angles
-    around the best one so far, until the spacing is below ``THETA_TOL``
-    (:func:`scan_levels` scans in all). ``grid`` thus sets which basin the
-    search settles in, not how precisely it resolves it. Returns the minima
-    and their angles theta, both of the parameters' shape.
+    searched: a scan of ``grid`` evenly spaced angles. A state whose best angle
+    is interior, or whose entropy does not rise from its best endpoint
+    (:func:`_keeps_endpoint`), gets scans of ``REFINE_POINTS`` angles around
+    the best one so far until their spacing is below ``THETA_TOL``; the others
+    keep that endpoint, a sigma_z or sigma_x candidate. ``grid`` thus sets
+    which basin the search settles in, not how precisely it resolves it.
+    Returns the minima, their angles theta and whether each state was refined.
     """
     levels = scan_levels(grid)
-    # the angles of each scan run along a new last axis
-    a, b, c, d, z, w = (np.asarray(p, dtype=float)[..., None] for p in (a, b, c, d, z, w))
+    shape = np.shape(a)
+    # one state per row; the angles of each scan run along the last axis
+    a, b, c, d, z, w = (np.asarray(p, dtype=float).reshape(-1, 1) for p in (a, b, c, d, z, w))
     # conditional_entropy at phi = 0, where the coherence term is (z + w)^2
     sums = _sums(a, b, c, d, (z + w) ** 2)
-    lo = np.zeros_like(a)
-    width = np.full_like(a, 0.25 * math.pi)
-    best_v = np.full(a.shape[:-1], np.inf)
-    best_t = np.zeros(a.shape[:-1])
-    frac = np.linspace(0.0, 1.0, grid)
-    for _ in range(levels):
-        theta = lo + width * frac
-        vals = _conditional_entropy_sums(*sums, theta)
-        k = np.argmin(vals, axis=-1)[..., None]
-        level_v = np.take_along_axis(vals, k, axis=-1)[..., 0]
-        # keep the best so far: a rescan may miss the bracket's centre
-        better = level_v < best_v
-        best_v = np.where(better, level_v, best_v)
-        best_t = np.where(better, np.take_along_axis(theta, k, axis=-1)[..., 0], best_t)
-        step = width[..., 0] / (frac.size - 1)
-        new_lo = np.maximum(best_t - step, 0.0)
-        width = (np.minimum(best_t + step, 0.25 * math.pi) - new_lo)[..., None]
-        lo = new_lo[..., None]
-        frac = _REFINE_FRAC
-    return best_v[()], best_t[()]
+    theta = 0.25 * math.pi * np.linspace(0.0, 1.0, grid)
+    vals = _conditional_entropy_sums(*sums, theta[None])
+    k = np.argmin(vals, axis=-1)
+    best_v, best_t = vals[np.arange(k.size), k], theta[k]
+    refine = ((k > 0) & (k < grid - 1)) | ~_keeps_endpoint(*(s[:, 0] for s in sums), k == 0)
+    if refine.any():
+        sums = tuple(s[refine] for s in sums)
+        v, t, step = best_v[refine], best_t[refine], 0.25 * math.pi / (grid - 1)
+        for _ in range(levels - 1):
+            lo = np.maximum(t - step, 0.0)
+            width = np.minimum(t + step, 0.25 * math.pi) - lo
+            theta = lo[:, None] + width[:, None] * _REFINE_FRAC
+            vals = _conditional_entropy_sums(*sums, theta)
+            k = np.argmin(vals, axis=-1)[:, None]
+            level_v = np.take_along_axis(vals, k, axis=-1)[:, 0]
+            # keep the best so far: a rescan may miss the bracket's centre
+            better = level_v < v
+            v = np.where(better, level_v, v)
+            t = np.where(better, np.take_along_axis(theta, k, axis=-1)[:, 0], t)
+            step = width / (REFINE_POINTS - 1)
+        best_v[refine], best_t[refine] = v, t
+    return best_v.reshape(shape)[()], best_t.reshape(shape)[()], refine.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ generator not preserving, 5 sampled step rejected (trace drift or leakage).
 violated``, ``not preserving``, ``step rejected`` or ``i/o error``.
 Malformed input, including JSON nested too deeply to parse, a seed outside
 [0, 2**64), an integer that overflows and numbers so large that arithmetic
-on them overflows, exits 2 with that one line.
+on them overflows, exits 2 with that one line. ``-v`` (before the subcommand)
+shows the ``xstates`` logger's INFO messages, such as ``validate-approx``
+progress, on stderr; a successful run without it writes nothing there.
 
 Every file-producing run writes ``<out>.manifest.json`` beside its output;
 a failed run writes one with status "error" unless the failure is an I/O
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import logging
 import sys
 import time
 
@@ -39,6 +42,8 @@ from .errors import CompletenessViolated, NotPreserving, StepRejected, XStatesEr
 from .measures import concurrence, report
 from .oracle import approx_error_campaign
 from .core import random_xstates, unstack
+
+_LOG = logging.getLogger("xstates")
 
 EXIT_OK = 0
 EXIT_NOT_PRESERVING_VERDICT = 1
@@ -103,10 +108,8 @@ def _cmd_gen(args, started) -> int:
 
 
 def _cmd_validate_approx(args, started) -> int:
-    def progress(done):
-        print(f"{done}/{args.n} states", file=sys.stderr)
-
-    stats = approx_error_campaign(args.n, seed=args.seed, grid=args.grid, progress=progress)
+    stats = approx_error_campaign(args.n, seed=args.seed, grid=args.grid,
+                                  progress=lambda done: _LOG.info("%d/%d states", done, args.n))
     fileio.write_json(args.out, stats.to_dict())
     _write_manifest(args, started)
     return EXIT_OK
@@ -161,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for two-qubit X states.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("-v", "--verbose", action="store_true", help="show progress on stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("measures", help="full measure report for one state file")
@@ -204,6 +208,10 @@ def main(argv=None) -> int:
     invalid operations raise here instead of warning and computing on."""
     args = build_parser().parse_args(argv)
     started = time.monotonic()
+    handler, level = logging.StreamHandler(sys.stderr), _LOG.level
+    if args.verbose:
+        _LOG.addHandler(handler)
+        _LOG.setLevel(logging.INFO)
     try:
         with np.errstate(all="raise", under="ignore"):
             return args.func(args, started)
@@ -214,6 +222,9 @@ def main(argv=None) -> int:
             with contextlib.suppress(OSError):  # the error above stands either way
                 _write_manifest(args, started, error=exc)
         return code
+    finally:
+        _LOG.removeHandler(handler)
+        _LOG.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -107,12 +107,13 @@ def _complex_to_obj(v: complex) -> dict:
     return {"re": v.real, "im": v.imag}
 
 
-def _obj_to_complex(obj) -> complex:
+def _obj_to_complex(obj, key: str) -> complex:
     if isinstance(obj, dict):
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        return complex(_number(obj.get("re", 0.0), key, float),
+                       _number(obj.get("im", 0.0), key, float))
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    return complex(float(obj))
+        return complex(_number(obj[0], key, float), _number(obj[1], key, float))
+    return complex(_number(obj, key, float))
 
 
 def _finite(values, what: str) -> np.ndarray:
@@ -167,7 +168,7 @@ def state_from_obj(obj: dict) -> XState:
     if "matrix" in obj:
         rows = obj["matrix"]
         m = np.array(
-            [[_obj_to_complex(cell) for cell in row] for row in rows],
+            [[_obj_to_complex(cell, "matrix entry") for cell in row] for row in rows],
             dtype=np.complex128,
         )
         return from_matrix(m)
@@ -175,12 +176,12 @@ def state_from_obj(obj: dict) -> XState:
     if missing:
         raise ValueError(f"state object lacks keys {missing}")
     return validate(
-        float(obj["a"]),
-        float(obj["b"]),
-        float(obj["c"]),
-        float(obj["d"]),
-        _obj_to_complex(obj.get("z", 0.0)),
-        _obj_to_complex(obj.get("w", 0.0)),
+        _number(obj["a"], "a", float),
+        _number(obj["b"], "b", float),
+        _number(obj["c"], "c", float),
+        _number(obj["d"], "d", float),
+        _obj_to_complex(obj.get("z", 0.0), "z"),
+        _obj_to_complex(obj.get("w", 0.0), "w"),
     )
 
 
@@ -221,13 +222,14 @@ def operator_from_obj(obj) -> np.ndarray:
     if isinstance(obj, str):
         return pauli_string_matrix(obj)
     if isinstance(obj, dict):
-        coeffs = _finite([float(c) for c in obj.values()], "operator coefficients")
+        coeffs = _finite([_number(c, "operator coefficient", float) for c in obj.values()],
+                         "operator coefficients")
         m = np.zeros((4, 4), dtype=np.complex128)
         for label, coeff in zip(obj, coeffs):
             m += coeff * pauli_string_matrix(label)
         return m
     m = np.array(
-        [[_obj_to_complex(cell) for cell in row] for row in obj], dtype=np.complex128
+        [[_obj_to_complex(c, "operator entry") for c in row] for row in obj], dtype=np.complex128
     )
     if m.shape != (4, 4):
         raise ValueError(f"operator must be 4x4, got shape {m.shape}")
@@ -237,7 +239,7 @@ def operator_from_obj(obj) -> np.ndarray:
 def _coupling_from_obj(obj, k: int) -> np.ndarray:
     if obj is None:
         raise ValueError("dynamics config needs either 'h' or 'rates'")
-    arr = _finite([[_obj_to_complex(cell) for cell in row] for row in obj], "coupling h")
+    arr = _finite([[_obj_to_complex(c, "h entry") for c in row] for row in obj], "coupling h")
     if arr.shape != (k, k):
         raise ValueError(f"coupling must be {k}x{k}, got shape {arr.shape}")
     return arr
@@ -249,7 +251,7 @@ def lindblad_from_obj(obj: dict) -> LindbladSpec:
     if "h" in obj:
         coupling = _coupling_from_obj(obj["h"], len(ops))
     elif "rates" in obj:
-        rates = _finite([float(r) for r in obj["rates"]], "rates")
+        rates = _finite([_number(r, "rate", float) for r in obj["rates"]], "rates")
         if len(rates) != len(ops):
             raise ValueError(f"{len(rates)} rates for {len(ops)} operators")
         coupling = np.diag(rates)
@@ -286,6 +288,8 @@ def load_dynamics_config(path: str) -> dict:
 
 def _number(value, key: str, kind):
     """``kind(value)`` of a JSON number, refusing bools and lost fractions."""
+    if type(value) is kind:  # most values, and the fast path of a corpus line
+        return value
     if type(value) not in (int, float):
         raise ValueError(f"{key} must be a number, got {value!r}")
     if kind is int and int(value) != value:

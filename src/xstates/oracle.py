@@ -10,7 +10,7 @@ entropies and the minimal conditional entropy, is the same helper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,14 +39,15 @@ class OracleResult:
     """Outcome of one conditional-entropy minimization (for a batch, the
     float fields are arrays over the states). ``theta`` and
     ``phi`` give the optimal basis for the phase-normalised state, so
-    ``phi`` is 0.0; ``refinement_iterations`` counts the scans of the
-    search, :func:`_kernels.scan_levels` of ``grid``."""
+    ``phi`` is 0.0; ``refined`` marks a state whose optimum could be interior,
+    which gets ``refinement_iterations`` (:func:`_kernels.scan_levels`) scans."""
 
     q_min: float
     theta: float
     phi: float
     grid: int
     refinement_iterations: int
+    refined: bool
     min_conditional_entropy: float
     classical_correlation: float
     mutual_information: float
@@ -74,13 +75,14 @@ def discord_oracle(x: XState, side: str = "B", grid: int = 64) -> OracleResult:
     After phase normalisation the search is exactly one-dimensional: theta
     in [0, pi/4] at phi = 0 (see :func:`_kernels.min_conditional_entropy`),
     whose endpoints are the sigma_z and sigma_x candidates of the
-    approximate discord. Deterministic for fixed parameters. Measuring side
-    A is the b <-> c swapped problem.
+    approximate discord; a state keeps its endpoint unless the optimum can
+    be interior. Deterministic for fixed parameters. Measuring side A is the
+    b <-> c swapped problem.
     """
     _check_side(side)
     st = x if side == "B" else x.swap_qubits()
     # local phases shift the optimal phi but not the minimum
-    ce, theta = _kernels.min_conditional_entropy(
+    ce, theta, refined = _kernels.min_conditional_entropy(
         st.a, st.b, st.c, st.d, st.abs_z, st.abs_w, grid=grid
     )
     q, cc, mi = _correlations(_state_entropies(x, side), side, ce)
@@ -90,6 +92,7 @@ def discord_oracle(x: XState, side: str = "B", grid: int = 64) -> OracleResult:
         phi=0.0,
         grid=grid,
         refinement_iterations=_kernels.scan_levels(grid),
+        refined=refined,
         min_conditional_entropy=ce,
         classical_correlation=cc,
         mutual_information=mi,
@@ -113,15 +116,12 @@ class CampaignStats:
     max_err: float
     mean_err: float
     fractions: tuple  # fraction of states with error above each threshold
+    worst_index: int  # random_xstate(seed, worst_index) has the error max_err
+    worst_theta: float  # the oracle's optimal angle theta for that state
+    refined_fraction: float  # share of states whose optimum could be interior
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "seed": self.seed,
-            "grid": self.grid,
-            "max_err": self.max_err,
-            "mean_err": self.mean_err,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "fractions"}
         for thr, frac in zip(CAMPAIGN_THRESHOLDS, self.fractions):
             out[f"frac_gt_1e{round(math.log10(thr))}".replace("-", "")] = frac
         return out
@@ -135,19 +135,25 @@ def approx_error_campaign(n: int, seed: int = 1, grid: int = 64, progress=None) 
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    errs = np.empty(n)
+    errs, thetas, refined = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     for start in range(0, n, CAMPAIGN_CHUNK):
         stop = min(start + CAMPAIGN_CHUNK, n)
         states = random_xstates(seed, start, stop)
-        errs[start:stop] = abs(approx_discord(states).q - discord_oracle(states, grid=grid).q_min)
+        res = discord_oracle(states, grid=grid)
+        errs[start:stop] = abs(approx_discord(states).q - res.q_min)
+        thetas[start:stop], refined[start:stop] = res.theta, res.refined
         if progress is not None and stop % 1000 == 0:
             progress(stop)
     fractions = tuple(float((errs > t).mean()) for t in CAMPAIGN_THRESHOLDS)
+    worst = int(errs.argmax())
     return CampaignStats(
         n=n,
         seed=seed,
         grid=grid,
-        max_err=float(errs.max()),
+        max_err=float(errs[worst]),
         mean_err=float(errs.mean()),
         fractions=fractions,
+        worst_index=worst,
+        worst_theta=float(thetas[worst]),
+        refined_fraction=float(refined.mean()),
     )

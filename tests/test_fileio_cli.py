@@ -190,6 +190,17 @@ class TestValidateApproxCommand:
                        "--grid", "48", "--out", str(rerun)) == 0
         assert out.read_bytes() == rerun.read_bytes()
 
+    def test_progress_logged_only_when_verbose(self, tmp_path, capsys):
+        quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+        assert run_cli("validate-approx", "--n", "2000", "--out", str(quiet)) == 0
+        assert capsys.readouterr() == ("", "")
+        assert run_cli("-v", "validate-approx", "--n", "2000", "--out", str(loud)) == 0
+        assert capsys.readouterr() == ("", "1000/2000 states\n2000/2000 states\n")
+        assert quiet.read_bytes() == loud.read_bytes()
+        manifests = [_DURATION.sub(b"", (tmp_path / f"{p.name}.manifest.json").read_bytes())
+                     for p in (quiet, loud)]
+        assert manifests[0] == manifests[1].replace(b"loud.json", b"quiet.json")
+
     @pytest.mark.parametrize("n, grid, message", [
         ("0", "64", "argument --n: must be >= 1, got 0"),
         ("10", "1", "argument --grid: must be >= 2, got 1"),
@@ -412,6 +423,14 @@ _INPUTS = {
     "bool_sample_every.json": json.dumps({**_DEPHASING, "sample_every": True}),
     "bool_dt.json": json.dumps({**_DEPHASING, "dt": True}),
     "string_measures.json": json.dumps({**_DEPHASING, "measures": "concurrence"}),
+    "string_state.json": json.dumps({"a": "0.5", "b": False, "c": 0, "d": "0.5",
+                                     "w": ["0.5", False]}),
+    "string_coherence.json": json.dumps({"a": 0.5, "b": 0.0, "c": 0.0, "d": 0.5,
+                                         "w": {"re": "0.5", "im": 0.0}}),
+    "bool_matrix_entry.json": json.dumps(
+        {"matrix": [[[0.5, 0], [0, 0], [0, 0], [0.5, 0]], [[0, 0]] * 4, [[0, 0]] * 4,
+                    [[0.5, False], [0, 0], [0, 0], [0.5, 0]]]}),
+    "string_rate.json": json.dumps({**_DEPHASING, "rates": ["1.0"]}),
 }
 
 
@@ -509,6 +528,24 @@ _ERROR_CASES = [
                  _error_manifest("evolve", "measures must be a list of names, "
                                  "got 'concurrence'", ["string_measures.json"]),
                  id="evolve-string-measures"),
+    # state values and rates are JSON numbers, never coerced: each of these
+    # ran as a Bell state or at rate 1.0
+    pytest.param("measures --in string_state.json --out out.json", 2, "error",
+                 _error_manifest("measures", "a must be a number, got '0.5'",
+                                 ["string_state.json"]),
+                 id="measures-string-population"),
+    pytest.param("measures --in string_coherence.json --out out.json", 2, "error",
+                 _error_manifest("measures", "w must be a number, got '0.5'",
+                                 ["string_coherence.json"]),
+                 id="measures-string-coherence"),
+    pytest.param("measures --in bool_matrix_entry.json --out out.json", 2, "error",
+                 _error_manifest("measures", "matrix entry must be a number, got False",
+                                 ["bool_matrix_entry.json"]),
+                 id="measures-bool-matrix-entry"),
+    pytest.param("evolve --in string_rate.json --out out.csv", 2, "error",
+                 _error_manifest("evolve", "rate must be a number, got '1.0'",
+                                 ["string_rate.json"]),
+                 id="evolve-string-rate"),
     # the error manifest cannot be written; the error still exits as itself
     pytest.param("measures --in bad.json --out nodir/out.json", 2, "error", None,
                  id="measures-invalid-state-missing-out-dir"),

@@ -5,18 +5,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xstates as xs
 from xstates.oracle import CAMPAIGN_THRESHOLDS, MeasurementBasis
 from conftest import brute_force_min_conditional_entropy, random_states
 from test_measures import WERNER_HALF_DISCORD, werner_discord
+from test_output_bytes import edge_states
 
 HARD_INTERIOR = xs.validate(
     0.8436606148068005, 0.05924944035589033,
     0.010118788096960044, 0.08697115674034903,
     z=0.023585058477367974, w=0.20574278137330584,
+)
+
+# sigma_z and sigma_x give the same conditional entropy within 2e-15, and the
+# optimum lies between them (a search over states found its approximate
+# discord's largest error here)
+TIED_CANDIDATES = xs.validate(
+    0.0289972371599611, 0.943110617484378, 0.027503475642149514, 0.0003886697135111858,
+    z=0.14135527749366156, w=4.12215082702831e-05,
 )
 
 
@@ -209,6 +218,56 @@ class TestDiscordOracle:
             assert ref - 1e-9 <= got <= ref + 1e-12
 
 
+# the angles of a dense scan of [0, pi/4] at phi = 0
+DENSE_THETAS = np.linspace(0.0, math.pi / 4, 2001)
+
+
+def edge_and_flat_states():
+    """:func:`edge_states` (Bell, Werner with the maximally mixed state,
+    diagonal, zero populations, coherences at their bounds) plus a = c,
+    b = d and pure states."""
+    return edge_states() + [
+        xs.validate(0.3, 0.2, 0.3, 0.2, z=0.1, w=0.05),
+        xs.validate(0.4, 0.15, 0.3, 0.15, z=0.1, w=0.2),
+        xs.validate(0.3, 0.0, 0.0, 0.7, w=math.sqrt(0.21)),
+        xs.validate(0.0, 0.2, 0.8, 0.0, z=0.4),
+    ]
+
+
+class TestSkipRule:
+    """The scan's endpoint is kept unless the optimum can be interior."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(phase_normalized_states(), st.sampled_from([2, 3, 64]))
+    # interior optima, which drawn states seldom have; grid 2 scans only the
+    # endpoints, so there the slope alone must send the state on
+    @example(HARD_INTERIOR, 2)
+    @example(TIED_CANDIDATES, 3)
+    @example(xs.random_xstate(4, 15818), 2)
+    def test_unrefined_endpoint_is_the_minimum(self, x, grid):
+        res = xs.discord_oracle(x, grid=grid)
+        dense = xs.conditional_entropy(x, MeasurementBasis(DENSE_THETAS, 0.0))
+        assert res.min_conditional_entropy <= dense.min() + 1e-14
+        if not res.refined:
+            assert res.theta in (0.0, math.pi / 4)
+            assert dense.min() >= res.min_conditional_entropy - 1e-14
+
+    @pytest.mark.parametrize("grid", [2, 3, 64])
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_edge_states(self, grid, side):
+        for x in edge_and_flat_states():
+            with np.errstate(all="raise", under="ignore"):  # as the CLI runs it
+                res = xs.discord_oracle(x, side=side, grid=grid)
+            fine = xs.discord_oracle(x, side=side, grid=64)
+            assert res.q_min == pytest.approx(fine.q_min, abs=1e-12)
+            st_ = xs.normalize_phases(x if side == "B" else x.swap_qubits()).state
+            dense = xs.conditional_entropy(st_, MeasurementBasis(DENSE_THETAS, 0.0))
+            assert res.min_conditional_entropy <= dense.min() + 1e-14
+            if not res.refined:
+                assert res.theta in (0.0, math.pi / 4)
+                assert dense.min() >= res.min_conditional_entropy - 1e-14
+
+
 class TestOneAngleReduction:
     """The two facts that reduce the oracle's search to theta in [0, pi/4]
     at phi = 0, on phase-normalised states."""
@@ -264,11 +323,30 @@ class TestCampaign:
         assert d["n"] == 200
         assert set(d) == {
             "n", "seed", "grid", "max_err", "mean_err",
+            "worst_index", "worst_theta", "refined_fraction",
             "frac_gt_1e3", "frac_gt_1e4", "frac_gt_1e5", "frac_gt_1e6", "frac_gt_1e7",
         }
         fracs = [d[k] for k in ("frac_gt_1e3", "frac_gt_1e4", "frac_gt_1e5",
                                 "frac_gt_1e6", "frac_gt_1e7")]
         assert fracs == sorted(fracs)  # thresholds tighten monotonically
+
+    def test_campaign_names_the_worst_state(self):
+        # frozen values of the search that rescanned every state; a state
+        # refined or not may move by rounding only, 1e-14 in q_min
+        with np.errstate(all="raise", under="ignore"):  # as the CLI runs it
+            stats = xs.approx_error_campaign(30_000, seed=4)
+        assert stats.max_err == pytest.approx(1.6518837961440186e-3, abs=1e-14)
+        assert stats.mean_err == pytest.approx(9.391864919724239e-08, abs=1e-14)
+        assert stats.fractions == (1 / 30_000, 4 / 30_000, 11 / 30_000, 12 / 30_000,
+                                   12 / 30_000)
+        # the error is nonzero only at an interior optimum, which was rescanned
+        # and kept its bits
+        assert stats.worst_index == 15818
+        assert stats.worst_theta == 0.33653651348957253
+        worst = xs.random_xstate(4, stats.worst_index)
+        err = abs(xs.approx_discord(worst).q - xs.discord_oracle(worst).q_min)
+        assert err == pytest.approx(stats.max_err, abs=1e-14)
+        assert 12 / 30_000 <= stats.refined_fraction < 1e-3
 
     def test_campaign_deterministic(self):
         s1 = xs.approx_error_campaign(50, seed=9)

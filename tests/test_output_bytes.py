@@ -31,7 +31,7 @@ EDGE_REPORT_DIGESTS = {
     "A": "cf4e3d7ae1effb4e455aaa2ab6aa2ee05008359cde787ade47e46ccc2d35cb87",
     "B": "7e841494823ef08124f8dd5314706df37fe728fb1fe0387176d9b3cab3c1851f",
 }
-CAMPAIGN_DIGEST = "726fcf9df6a1d538a15d734e65815cb4ab134a2f78211a199d4a1073fa895f41"
+CAMPAIGN_DIGEST = "41e0145501e77c02dd264072e5011c5214837abf4ca9bc44649f66064a43f378"
 EVOLVE_DIGEST = "2aa1530d32452cb465be07d459d5efd7ff6153104a34c5480a110e0aea1bf5cf"
 EVOLVE_ROTATED_DIGEST = "23da5c0eb80227099d16bf7619064f52f4b3ba2eac473841929c3dd02536fe91"
 
