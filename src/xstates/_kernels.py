@@ -159,14 +159,16 @@ def expm(a: np.ndarray) -> np.ndarray:
 
     ``a`` is divided by 2^s so that its 1-norm is at most ``EXPM_THETA``,
     exponentiated with the [13/13] Pade approximant and squared s times.
-    Defective matrices need no special treatment.
+    Defective matrices need no special treatment. A real matrix has a real
+    exponential, computed in real arithmetic.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.asarray(a)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     norm = float(np.abs(a).sum(axis=0).max())
     squarings = math.ceil(math.log2(norm / EXPM_THETA)) if norm > EXPM_THETA else 0
     a = a * 0.5**squarings
     b = _PADE13
-    ident = np.eye(a.shape[0], dtype=np.complex128)
+    ident = np.eye(a.shape[0], dtype=a.dtype)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2

@@ -8,8 +8,8 @@ generator file).
 
 Exit codes: 0 success (for ``check``: preserving), 1 ``check`` verdict not
 preserving, 2 malformed input or failed validation, 3 I/O error, 4
-generator not preserving, 5 sampled step rejected (trace drift or leakage).
-:func:`main` alone decides them: a failure prints one line
+generator not preserving, 5 sampled step rejected (trace drift or an
+invalid sample). :func:`main` alone decides them: a failure prints one line
 ``<label>: <message>`` to stderr, labelled ``error``, ``completeness
 violated``, ``not preserving``, ``step rejected`` or ``i/o error``.
 Malformed input, including JSON nested too deeply to parse, a seed outside

@@ -3,7 +3,7 @@ sampling, batching, and the ensemble-averaged dephasing channel."""
 
 from __future__ import annotations
 
-import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -190,36 +190,63 @@ def _where(cond, x, y):
 def validate(a, b, c, d, z=0j, w=0j) -> XState:
     """Check raw parameters and return a valid :class:`XState`.
 
-    Values within tolerance of the feasible set are clamped to its boundary;
-    anything farther out raises :class:`TraceError`,
+    The parameters are numbers, or equal-shape arrays for a batch (see
+    :func:`stack`). Values within tolerance of the feasible set are clamped
+    to its boundary; anything farther out raises :class:`TraceError`,
     :class:`NegativePopulation`, or :class:`CoherenceBoundViolated`, and a
-    NaN or infinite value raises :class:`ValidationError`.
+    NaN or infinite value raises :class:`ValidationError`. One formula,
+    written with the primitives of the closed forms, serves a state and a
+    batch, so every batch element gets the bits its parameters give alone.
+    A batch raises the error its first failing element (in C order) raises
+    alone, with that element's flat index as the error's ``index``.
     """
-    a, b, c, d = float(a), float(b), float(c), float(d)
-    z, w = complex(z), complex(w)
-    # a NaN or an infinity anywhere makes this sum NaN or infinite
-    if not math.isfinite(a + b + c + d + abs(z) + abs(w)):
+    batch = isinstance(a, np.ndarray)
+    if not batch:
+        a, b, c, d, z, w = float(a), float(b), float(c), float(d), complex(z), complex(w)
+    # a failing batch element may hold anything, so numpy must not warn
+    with np.errstate(all="ignore") if batch else contextlib.nullcontext():
+        abs_z, abs_w = _hypot(z.real, z.imag), _hypot(w.real, w.imag)
+        total = a + b + c + d
+        pa, pb, pc, pd = _max(0.0, a), _max(0.0, b), _max(0.0, c), _max(0.0, d)
+        zb, wb = _sqrt(pb * pc), _sqrt(pa * pd)
+        # in the order of the errors: finite, trace, populations, z, w
+        checks = (
+            abs(total + abs_z + abs_w) < math.inf, abs(total - 1.0) <= TRACE_TOL,
+            a >= -POPULATION_TOL, b >= -POPULATION_TOL, c >= -POPULATION_TOL,
+            d >= -POPULATION_TOL, abs_z <= zb + COHERENCE_TOL, abs_w <= wb + COHERENCE_TOL,
+        )
+        # a coherence past its bound becomes v * (bound / |v|)
+        over_z, over_w = abs_z > zb, abs_w > wb
+        state = XState(
+            pa, pb, pc, pd,
+            _where(over_z, z * (zb / _where(over_z, abs_z, 1.0)), z),
+            _where(over_w, w * (wb / _where(over_w, abs_w, 1.0)), w),
+        )
+    if batch:
+        ok = np.logical_and.reduce(checks)
+        if ok.all():
+            return state
+        i = int(np.argmin(ok))
+        params = (np.broadcast_to(p, ok.shape).flat[i].item() for p in (a, b, c, d, z, w))
+        try:
+            validate(*params)
+        except ValidationError as exc:
+            exc.index = i
+            raise
+        raise AssertionError(f"element {i} fails in its batch but not alone")
+    if all(checks):
+        return state
+    finite, trace, *nonnegative, z_ok, _ = checks
+    if not finite:
         raise ValidationError(f"parameters must be finite, got {(a, b, c, d, z, w)}")
-    total = a + b + c + d
-    if abs(total - 1.0) > TRACE_TOL:
+    if not trace:
         raise TraceError(f"populations sum to {total!r}, not 1")
-    pops = []
-    for name, p in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if p < -POPULATION_TOL:
+    for name, p, ok in zip("abcd", (a, b, c, d), nonnegative):
+        if not ok:
             raise NegativePopulation(f"population {name} = {p!r} is negative")
-        pops.append(max(p, 0.0))
-    a, b, c, d = pops
-    zb = math.sqrt(b * c)
-    wb = math.sqrt(a * d)
-    if abs(z) > zb + COHERENCE_TOL:
-        raise CoherenceBoundViolated("z", abs(z), zb)
-    if abs(w) > wb + COHERENCE_TOL:
-        raise CoherenceBoundViolated("w", abs(w), wb)
-    if abs(z) > zb:
-        z = z * (zb / abs(z))
-    if abs(w) > wb:
-        w = w * (wb / abs(w))
-    return XState(a, b, c, d, z, w)
+    if not z_ok:
+        raise CoherenceBoundViolated("z", abs_z, zb)
+    raise CoherenceBoundViolated("w", abs_w, wb)
 
 
 def normalize_phases(x: XState) -> PhaseNormalized:
@@ -416,19 +443,11 @@ def random_xstates(seed: int, start: int, stop: int, complex_phases: bool = Fals
     z, w = (u[:, 0] * zb).astype(complex), (u[:, 1] * wb).astype(complex)
     if complex_phases:
         turns = turns * 2.0 * math.pi
-        z, w = _rotated(z, turns[:, 0], zb), _rotated(w, turns[:, 1], wb)
+        z, w = z * np.exp(1j * turns[:, 0]), w * np.exp(1j * turns[:, 1])
+        # a modulus that rounds past its bound is clamped
+        return validate(a, b, c, d, z, w)
     # real coherences are u * bound with u < 1 and so within their bounds
     return XState(a, b, c, d, z, w)
-
-
-def _rotated(v, turns, bound) -> np.ndarray:
-    """v e^{i turns}, one complex product per element as in Python, with a
-    modulus that rounds past ``bound`` clamped as :func:`validate` does."""
-    out = []
-    for x, t, b in zip(v.tolist(), turns.tolist(), bound.tolist()):
-        x *= cmath.exp(1j * t)
-        out.append(x * (b / abs(x)) if abs(x) > b else x)
-    return np.array(out, dtype=complex)
 
 
 def random_xstate(seed: int, index: int, complex_phases: bool = False) -> XState:

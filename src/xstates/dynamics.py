@@ -6,8 +6,11 @@ Every map is written as a 16x16 superoperator on row-major
 vec(rho) = rho.reshape(16), for which vec(A rho B) = (A (x) B^T) vec(rho)
 (Havel, J. Math. Phys. 44, 534 (2003)). One rule decides preservation: the
 block of that matrix from X-pattern to off-pattern entries must vanish.
-The Liouvillian exponentiated, expm(L t), propagates the master equation in
-:func:`evolve`, :func:`esd_time` and :func:`propagate`.
+A map that passes it moves an X state through its X <- X block alone,
+which on the eight real coordinates (a, b, c, d, Re z, Im z, Re w, Im w)
+is a real 8x8 matrix G. :func:`evolve` and :func:`esd_time` propagate
+with expm(G t); :func:`propagate` applies the full expm(L t) to a 4x4
+matrix, leakage included, for maps that need not preserve the pattern.
 """
 
 from __future__ import annotations
@@ -21,15 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels, measures, spectral
-from .core import (
-    COHERENCE_TOL,
-    POPULATION_TOL,
-    TRACE_TOL,
-    X_MASK,
-    XState,
-    unstack,
-    validate,
-)
+from .core import X_MASK, XState, _hypot, unstack, validate
 from .errors import (
     CompletenessViolated,
     InvalidCoupling,
@@ -152,17 +147,24 @@ def _commutator_generator(h) -> np.ndarray:
     return -1j * (_kron(m, _I4) - _kron(_I4, m.T))
 
 
+def _leak_ratio(superop: np.ndarray) -> float:
+    """||S_off<-X||_F / ||S||_F: the share of a superoperator that sends
+    X-pattern entries off the pattern, 0 for S = 0."""
+    norm = float(np.linalg.norm(superop))
+    return float(np.linalg.norm(superop[~X_VEC][:, X_VEC])) / norm if norm else 0.0
+
+
 def _leaks(superop: np.ndarray) -> tuple:
     """The one preservation rule: a map keeps X states X shaped iff the
     block of its superoperator from X-pattern to off-pattern entries is
     zero, to ``PRESERVE_RTOL`` of the whole. Returns () for such maps and
     otherwise names the leaking Pauli transfers ``"P->Q"``, from an
     X-pattern input P to an off-pattern output Q."""
-    tol = PRESERVE_RTOL * float(np.linalg.norm(superop))
-    if float(np.linalg.norm(superop[~X_VEC][:, X_VEC])) <= tol:
+    if _leak_ratio(superop) <= PRESERVE_RTOL:
         return ()
     # transfer[q, p] = <Q, S(P)> / 4; the Pauli basis / 2 is orthonormal, so
     # the block keeps its norm and some entry exceeds tol / 8
+    tol = PRESERVE_RTOL * float(np.linalg.norm(superop))
     transfer = _PAULI_VECS.conj() @ superop @ _PAULI_VECS.T / 4.0
     return tuple(
         f"{PAULI_STRINGS[p]}->{PAULI_STRINGS[q]}"
@@ -346,16 +348,42 @@ _TRAJECTORY_MEASURES = {
 }
 
 
-# an evolve run holds every sample in memory at once, its vector and the
-# arrays that check it; at this bound a run and its trajectory CSV (about
-# 120 bytes a row) peak near 150 MB
+# an evolve run holds every sample in memory at once, its coordinates and
+# the arrays that check them; at this bound a run and its trajectory CSV
+# (about 120 bytes a row) peak near 150 MB
 MAX_SAMPLES = 100_000
 # the largest |trace - 1| a propagated sample may show before it is normalised
 TRACE_DRIFT_TOL = 1e-9
-# a single Taylor sum of expm(L tau) v in esd_time spans at most this much
-# ||L||_1 tau; a wider bracket is cut into pieces
+# a single Taylor sum of expm(G tau) x in esd_time spans at most this much
+# ||G||_1 tau; a wider bracket is cut into pieces
 TAYLOR_SPAN = 1.0
 _UNIT_ROUNDOFF = 2.0**-53
+# esd_time: a concurrence at or below ESD_TOL is dead, it must stay dead for
+# ESD_CONFIRM more samples, and the crossing gets at most ESD_ITERATIONS
+# bisection steps
+ESD_TOL = 1e-12
+ESD_CONFIRM = 3
+ESD_ITERATIONS = 40
+
+# vec(rho) of an X state from its coordinates x = (a, b, c, d, Re z, Im z,
+# Re w, Im w) is _FROM_COORDS @ x, with z = rho[1, 2] at 6, conj(z) at 9,
+# w = rho[0, 3] at 3 and conj(w) at 12; x is Re(_TO_COORDS @ vec)
+_FROM_COORDS = np.zeros((16, 8), dtype=np.complex128)
+_FROM_COORDS[[0, 5, 10, 15, 6, 6, 9, 9, 3, 3, 12, 12], [0, 1, 2, 3, 4, 5, 4, 5, 6, 7, 6, 7]] = (
+    [1, 1, 1, 1, 1, 1j, 1, -1j, 1, 1j, 1, -1j])
+_TO_COORDS = np.zeros((8, 16), dtype=np.complex128)
+_TO_COORDS[range(8), [0, 5, 10, 15, 6, 6, 3, 3]] = 1, 1, 1, 1, 1, -1j, 1, -1j
+
+
+def _x_block(superop: np.ndarray) -> np.ndarray:
+    """The real 8x8 matrix G that a pattern-preserving superoperator is on
+    the coordinates of an X state: its X <- X block."""
+    return (_TO_COORDS @ superop @ _FROM_COORDS).real
+
+
+def _coords(x: XState) -> np.ndarray:
+    """The eight real coordinates of one state."""
+    return np.array([x.a, x.b, x.c, x.d, x.z.real, x.z.imag, x.w.real, x.w.imag])
 
 
 @dataclass(frozen=True)
@@ -365,7 +393,9 @@ class Trajectory:
     ``samples`` is one batch of states (see :func:`core.stack`), sample ``i``
     taken at ``times[i]``; ``states`` shows them as a read-only tuple of
     single states. Each recorded measure maps to an array over the samples.
-    ``liouvillian`` is the superoperator of ``spec`` that propagated them.
+    ``generator`` is the real 8x8 matrix G that propagated them, and
+    ``max_leakage`` the preservation rule's ratio ||L_off<-X||_F / ||L||_F
+    of the Liouvillian L of ``spec``, at most ``PRESERVE_RTOL``.
     """
 
     times: np.ndarray
@@ -375,7 +405,7 @@ class Trajectory:
     spec: LindbladSpec
     dt: float
     sample_every: int
-    liouvillian: np.ndarray
+    generator: np.ndarray
 
     @functools.cached_property
     def states(self) -> tuple:
@@ -389,22 +419,21 @@ def evolve(
     t_max: float,
     sample_every: int = 1,
     record: tuple = ("concurrence",),
-    leakage_tol: float = 1e-10,
 ) -> Trajectory:
     """Propagate a pattern-preserving master equation from ``x0``.
 
-    The exact step propagator P = expm(L dt) of the Liouvillian L acts on the
-    full 4x4 matrix; between samples its ``sample_every``-th power is
+    The generator G, the X <- X block of the Liouvillian, acts on the eight
+    real coordinates of the state through the exact step propagator
+    P = expm(G dt); between samples its ``sample_every``-th power is
     applied, so a sample at ``step * dt`` is P^step applied to ``x0``. The
     run takes ``round(t_max / dt)`` steps (at least one), and its last
     interval is shorter when ``sample_every`` does not divide them.
 
     Every sample is propagated first and then checked in one batched pass:
-    its trace must stay within ``TRACE_DRIFT_TOL`` of one and, normalised,
-    its off-pattern leakage below ``leakage_tol``; projected onto the X
-    pattern, it must pass :func:`validate`, whose clamping it gets. The
-    first sample that fails raises :class:`StepRejected` naming its time.
-    The requested measures are then recorded on the batch.
+    its trace must stay within ``TRACE_DRIFT_TOL`` of one, and, normalised,
+    it must pass :func:`validate`, whose clamping it gets. The first sample
+    that fails raises :class:`StepRejected` naming its time. The requested
+    measures are then recorded on the batch.
 
     Raises :class:`NotPreserving` when the generator fails
     :func:`check_lindblad`, and ValueError for a negative ``t_max``, a step
@@ -437,190 +466,136 @@ def evolve(
     verdict = _lindblad_verdict(liouvillian)
     if not verdict.preserving:
         raise NotPreserving(f"{verdict.message}: {', '.join(verdict.offenders)}")
-    prop = _kernels.expm(liouvillian * dt)
+    generator = _x_block(liouvillian)
+    prop = _kernels.expm(generator * dt)
     hop = np.linalg.matrix_power(prop, sample_every)
     ends = [*range(sample_every, steps, sample_every), steps]
-    vecs = np.empty((len(ends), 16), dtype=np.complex128)
-    vec = x0.to_matrix().reshape(16)
+    coords = np.empty((len(ends), 8))
+    x = _coords(x0)
     done = 0
     for row, n in enumerate(ends):
         # P^sample_every between samples; the last interval may be shorter
         power = hop if n - done == sample_every else np.linalg.matrix_power(prop, n - done)
-        vec = vecs[row] = power @ vec
+        x = coords[row] = power @ x
         done = n
     times = np.array([0.0] + [n * dt for n in ends])
-    checked, leak = _checked_samples(vecs, times[1:], leakage_tol)
+    checked = _checked_samples(coords, times[1:])
     samples = XState(*(np.concatenate(([getattr(x0, k)], getattr(checked, k))) for k in "abcdzw"))
     return Trajectory(
         times=times,
         samples=samples,
         measures={name: _TRAJECTORY_MEASURES[name](samples) for name in record},
-        max_leakage=float(leak.max()),
+        max_leakage=_leak_ratio(liouvillian),
         spec=spec,
         dt=dt,
         sample_every=sample_every,
-        liouvillian=liouvillian,
+        generator=generator,
     )
 
 
-def _checked_samples(vecs: np.ndarray, times: np.ndarray, leakage_tol: float):
-    """The propagated vectors ``vecs``, one row per sample taken at
-    ``times``, as a batch of X states, and the leakage of each.
-
-    Every value equals, bit for bit, what :func:`from_matrix` of the
-    projection and :func:`off_pattern_norm` give on one sample alone: the
-    trace of the Hermitian part is summed pairwise, as numpy sums a 4x4
-    trace, and the leakage, the norm of the normalised off-pattern part,
-    goes through the dot products of ``np.linalg.norm``. Raises
-    :class:`StepRejected` for the first sample that fails a check.
+def _checked_samples(coords: np.ndarray, times: np.ndarray) -> XState:
+    """The propagated coordinates ``coords``, one row per sample taken at
+    ``times``, normalised by their trace (summed pairwise) and validated as
+    one batch. Raises :class:`StepRejected` for the first sample whose trace
+    is more than ``TRACE_DRIFT_TOL`` from one or that fails validation.
     """
-    rho = vecs.reshape(-1, 4, 4)
     # the rows past a rejected one may hold anything; none of them is kept
     with np.errstate(all="ignore"):
-        sym = 0.5 * (rho + rho.conj().swapaxes(1, 2))
-        d = np.diagonal(sym.real, axis1=1, axis2=2)
-        tr = (d[:, 0] + d[:, 1]) + (d[:, 2] + d[:, 3])
-        sym = sym / tr[:, None, None]
-        off = np.where(X_MASK, 0.0, sym).reshape(-1, 1, 16)
-        # one dot product per row and part, as np.linalg.norm sums them
-        re, im = off.real, off.imag
-        leak = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
-        params = (*np.diagonal(sym.real, axis1=1, axis2=2).T, sym[:, 1, 2], sym[:, 0, 3])
-        states, valid = _validated(*params)
-    drifted = ~(np.abs(tr - 1.0) <= TRACE_DRIFT_TOL)
-    leaking = ~(leak <= leakage_tol)
-    bad = np.flatnonzero(drifted | leaking | ~valid)
-    if bad.size:
-        i = bad[0]
-        if drifted[i]:
-            reason = f"trace drifted to {float(tr[i])!r}"
-        elif leaking[i]:
-            reason = (
-                f"off-pattern leakage {leak[i]:.3g} exceeds {leakage_tol:.3g}; "
-                "the generator is probably not pattern preserving"
-            )
-        else:
-            reason = "sampled state failed validation"
-            try:
-                validate(*(p[i] for p in params))
-            except ValidationError as exc:
-                reason += f": {exc}"
-        raise StepRejected(f"sample at t = {float(times[i])!r}: {reason}")
-    return states, leak
+        tr = (coords[:, 0] + coords[:, 1]) + (coords[:, 2] + coords[:, 3])
+    # the first drifted row, or len(tr) when none drifted
+    i = int(np.argmin(np.append(np.abs(tr - 1.0) <= TRACE_DRIFT_TOL, False)))
+    x = coords[:i] / tr[:i, None]
+    # (Re z, Im z, Re w, Im w) is the memory layout of (z, w)
+    z, w = np.ascontiguousarray(x[:, 4:]).view(np.complex128).T
+    try:
+        states = validate(*x[:, :4].T, z, w)
+    except ValidationError as exc:
+        i, reason = exc.index, f"sampled state failed validation: {exc}"
+    else:
+        if i == len(tr):
+            return states
+        reason = f"trace drifted to {float(tr[i])!r}"
+    raise StepRejected(f"sample at t = {float(times[i])!r}: {reason}")
 
 
-def _validated(a, b, c, d, z, w):
-    """:func:`validate` over equal-shape arrays: the states it returns, bit
-    for bit, and a mask of the elements it accepts. A NaN or an infinity
-    fails one of the comparisons."""
-    total = ((a + b) + c) + d
-    pops = np.array([a, b, c, d])
-    valid = (np.abs(total - 1.0) <= TRACE_TOL) & (pops >= -POPULATION_TOL).all(axis=0)
-    a, b, c, d = np.where(pops < 0.0, 0.0, pops)
-    z, valid_z = _clamped(z, np.sqrt(b * c))
-    w, valid_w = _clamped(w, np.sqrt(a * d))
-    return XState(a, b, c, d, z, w), valid & valid_z & valid_w
-
-
-def _clamped(v, bound):
-    """Coherences ``v`` clamped as :func:`validate` clamps them, and a mask
-    of those within ``COHERENCE_TOL`` of ``bound``. Past the bound,
-    ``v * (bound / |v|)`` takes the products of Python's complex-by-float
-    multiply, (re f - im 0) + (re 0 + im f) i."""
-    abs_v = np.hypot(v.real, v.imag)
-    over = abs_v > bound
-    if over.any():
-        f = bound / np.where(over, abs_v, 1.0)
-        v = v.copy()
-        v.real, v.imag = (
-            np.where(over, v.real * f - v.imag * 0.0, v.real),
-            np.where(over, v.real * 0.0 + v.imag * f, v.imag),
-        )
-    return v, abs_v <= bound + COHERENCE_TOL
-
-
-def _concurrence_gap(vec: np.ndarray) -> float:
-    # signed distance of vec(rho), X shaped, to entanglement death:
+def _concurrence_gap(x: np.ndarray) -> float:
+    # signed distance of the coordinates x to entanglement death:
     # concurrence/2 before clipping
-    m = vec.tolist()
-    a, b = max(m[0].real, 0.0), max(m[5].real, 0.0)
-    c, d = max(m[10].real, 0.0), max(m[15].real, 0.0)
-    return max(abs(m[6]) - math.sqrt(a * d), abs(m[3]) - math.sqrt(b * c))
+    a, b, c, d, zr, zi, wr, wi = x.tolist()
+    a, b, c, d = max(a, 0.0), max(b, 0.0), max(c, 0.0), max(d, 0.0)
+    return max(_hypot(zr, zi) - math.sqrt(a * d), _hypot(wr, wi) - math.sqrt(b * c))
 
 
-def _expm_action(liouvillian: np.ndarray, vec: np.ndarray, width: float):
-    """The function tau -> expm(liouvillian * tau) @ vec on 0 <= tau <= width.
+def _expm_action(generator: np.ndarray, x: np.ndarray, width: float):
+    """The function tau -> expm(generator * tau) @ x on 0 <= tau <= width.
 
     The action of the exponential on one vector from truncated Taylor series
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). The bracket is
-    cut into the fewest equal pieces with ||L||_1 * piece <= TAYLOR_SPAN.
-    About the start v_j of piece j the series keeps the terms
-    (L piece)^k v_j / k! up to the first one whose bound, the k-th term of
-    exp(||L||_1 * piece), is below the unit roundoff. The terms of a piece
-    are computed when a point first falls in it, with v_j = expm(L piece)^j
-    v; after that a point costs one (K,) @ (K, 16) product.
+    cut into the fewest equal pieces with ||G||_1 * piece <= TAYLOR_SPAN.
+    About the start x_j of piece j the series keeps the terms
+    (G piece)^k x_j / k! up to the first one whose bound, the k-th term of
+    exp(||G||_1 * piece), is below the unit roundoff. The terms of a piece
+    are computed when a point first falls in it, with x_j = expm(G piece)^j
+    x; after that a point costs one (K,) @ (K, 8) product.
     """
-    span = np.abs(liouvillian).sum(axis=0).max() * width
+    span = np.abs(generator).sum(axis=0).max() * width
     pieces = max(1, math.ceil(span / TAYLOR_SPAN))
     step = width / pieces
     count, term = 0, 1.0  # terms kept, and the bound of the first one dropped
     while term > _UNIT_ROUNDOFF:
         count += 1
         term *= span / pieces / count
-    gen = liouvillian * step
+    gen = generator * step
     hop = _kernels.expm(gen) if pieces > 1 else None
     exponents = np.arange(count, dtype=float)
     factorials = np.cumprod(np.maximum(exponents, 1.0))[:, None]
-    terms = {}  # piece -> its terms as a (count, 32) real array
+    terms = {}  # piece -> its terms as a (count, 8) array
 
     def action(tau: float) -> np.ndarray:
         u = tau / step
         j = min(int(u), pieces - 1)
         if j not in terms:
-            t = np.empty((count, 16), dtype=np.complex128)
-            t[0] = vec if j == 0 else np.linalg.matrix_power(hop, j) @ vec
+            t = np.empty((count, 8))
+            t[0] = x if j == 0 else np.linalg.matrix_power(hop, j) @ x
             for k in range(1, count):
                 np.matmul(gen, t[k - 1], out=t[k])
-            terms[j] = (t / factorials).view(np.float64)
-        return np.dot((u - j) ** exponents, terms[j]).view(np.complex128)
+            terms[j] = t / factorials
+        return np.dot((u - j) ** exponents, terms[j])
 
     return action
 
 
-def esd_time(
-    traj: Trajectory, tol: float = 1e-12, confirm: int = 3, refine_iterations: int = 40
-) -> Optional[float]:
+def esd_time(traj: Trajectory) -> Optional[float]:
     """First time the concurrence dies and stays dead.
 
-    Scans the sampled concurrence for the first value <= ``tol`` that is
-    followed by ``confirm`` equally dead samples, then refines the crossing
-    by bisection between that sample and the one before. The state at each
-    midpoint is the action expm(L tau) v on the earlier sample v, summed from
-    Taylor terms computed once for the bracket (:func:`_expm_action`), so a
-    midpoint costs one small product. Returns None when the concurrence
-    never vanishes on the horizon.
+    Scans the sampled concurrence for the first value <= ``ESD_TOL`` that is
+    followed by ``ESD_CONFIRM`` equally dead samples, then refines the
+    crossing by bisection between that sample and the one before. The state
+    at each midpoint is the action expm(G tau) x on the coordinates x of the
+    earlier sample, summed from Taylor terms computed once for the bracket
+    (:func:`_expm_action`), so a midpoint costs one small product. Returns
+    None when the concurrence never vanishes on the horizon.
     """
     if "concurrence" in traj.measures:
         conc = traj.measures["concurrence"]
     else:
         conc = measures.concurrence(traj.samples)
-    dead = (conc <= tol).tolist()
-    hit = next(
-        (i for i in range(len(dead) - confirm) if all(dead[i : i + 1 + confirm])), None
-    )
+    dead = (conc <= ESD_TOL).tolist()
+    window = 1 + ESD_CONFIRM
+    hit = next((i for i in range(len(dead) - ESD_CONFIRM) if all(dead[i : i + window])), None)
     if hit is None:
         return None
     if hit == 0:
         return 0.0
     lo_t = float(traj.times[hit - 1])
     hi_t = float(traj.times[hit])
-    lo_vec = traj.samples.to_matrix()[hit - 1].reshape(16)
-    if _concurrence_gap(lo_vec) <= 0.0:
+    lo_x = _coords(XState(*(getattr(traj.samples, k)[hit - 1] for k in "abcdzw")))
+    if _concurrence_gap(lo_x) <= 0.0:
         return lo_t
-    action = _expm_action(traj.liouvillian, lo_vec, hi_t - lo_t)
+    action = _expm_action(traj.generator, lo_x, hi_t - lo_t)
     lo, hi = lo_t, hi_t
     resolution = 1e-12 * max(1.0, hi_t)
-    for _ in range(refine_iterations):
+    for _ in range(ESD_ITERATIONS):
         mid_t = 0.5 * (lo + hi)
         if _concurrence_gap(action(mid_t - lo_t)) > 0.0:
             lo = mid_t

@@ -6,7 +6,10 @@ class XStatesError(Exception):
 
 
 class ValidationError(XStatesError, ValueError):
-    """Parameters or a matrix do not describe a physical X state."""
+    """Parameters or a matrix do not describe a physical X state. For a
+    batch, ``index`` is the failing element."""
+
+    index = None
 
 
 class TraceError(ValidationError):
@@ -88,5 +91,4 @@ class NotPreserving(DynamicsError):
 
 
 class StepRejected(DynamicsError):
-    """A sampled state drifted in trace, leaked off the pattern or lost
-    positivity beyond tolerance."""
+    """A sampled state drifted in trace or failed validation."""

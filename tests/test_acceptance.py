@@ -246,14 +246,15 @@ def test_criterion_9_dynamics(capsys):
     traj = xs.evolve(spec, x0, dt=1e-3, t_max=1.0, sample_every=1000)
     deph_err = abs(complex(traj.states[-1].z).real - 0.2 * math.exp(-4.0))
     # leakage: preserving generators, 100 random initial states, 1000 steps
+    # of the full 16x16 propagation, whose off-pattern part evolve never forms
     leak_ok = True
     damping = xs.LindbladSpec.from_rates(
         [np.kron(SM, np.eye(2)), np.kron(np.eye(2), SM)], [0.7, 1.3]
     )
     for i in range(100):
         gen = spec if i % 2 == 0 else damping
-        t = xs.evolve(gen, xs.random_xstate(7, i), dt=1e-3, t_max=1.0, sample_every=100)
-        leak_ok = leak_ok and t.max_leakage <= 1e-10
+        _, leak = xs.propagate(gen, xs.random_xstate(7, i).to_matrix(), 1e-3, 1000)
+        leak_ok = leak_ok and leak <= 1e-10
     control = xs.LindbladSpec(
         operators=(pauli_string_matrix("ZI"), pauli_string_matrix("XI")),
         coupling=np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex),

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xstates as xs
 from xstates.errors import (
@@ -13,6 +15,7 @@ from xstates.errors import (
     NegativePopulation,
     NotXShaped,
     TraceError,
+    ValidationError,
 )
 from conftest import random_states
 
@@ -50,6 +53,70 @@ class TestValidate:
         bound = math.sqrt(0.25 * 0.25)
         x = xs.validate(0.25, 0.25, 0.25, 0.25, z=bound + 5e-13)
         assert abs(x.z) == pytest.approx(bound, abs=1e-15)
+
+    @staticmethod
+    def noisy_params(start: int, n: int, noise: float) -> list:
+        """Random states with complex coherences, a quarter of them with w
+        on its positivity bound, plus ``noise`` times a normal deviate on
+        every parameter."""
+        x = xs.random_xstates(12, start, start + n, complex_phases=True)
+        on_bound = np.arange(start, start + n) % 4 == 0
+        w = np.where(on_bound, np.sqrt(x.a * x.d) * x.w / np.abs(x.w), x.w)
+        re, im = noise * np.random.default_rng(start).normal(size=(2, 6, n))
+        return [p + re[k] + (1j * im[k] if p.dtype.kind == "c" else 0.0)
+                for k, p in enumerate([x.a, x.b, x.c, x.d, x.z, w])]
+
+    @staticmethod
+    def one_by_one(params):
+        """The states validate gives each element alone, up to the first one
+        it rejects, and that element's index and error."""
+        states = []
+        for i in range(len(params[0])):
+            try:
+                states.append(xs.validate(*(p[i].item() for p in params)))
+            except ValidationError as exc:
+                return states, (i, exc)
+        return states, None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.integers(1, 40),
+           st.sampled_from([0.0, 1e-15, 1e-13, 1e-11]),
+           st.sampled_from([None, "trace", "negative", "z", "w", "nan", "inf"]), st.data())
+    def test_batch_is_each_element_alone(self, start, n, noise, fault, data):
+        params = self.noisy_params(start, n, noise)
+        if fault:
+            i = data.draw(st.integers(0, n - 1))
+            if fault == "trace":
+                params[0][i] += 1e-9
+            elif fault == "negative":
+                params[1][i], params[0][i] = -1e-13, params[0][i] + params[1][i] + 1e-13
+            elif fault in ("z", "w"):
+                params[4 if fault == "z" else 5][i] *= 1.5
+            else:
+                params[data.draw(st.integers(0, 5))][i] = float(fault)
+        states, failure = self.one_by_one(params)
+        if failure is None:
+            batch, expected = xs.validate(*params), xs.stack(states)
+            for k in "abcdzw":
+                assert getattr(batch, k).tobytes() == getattr(expected, k).tobytes(), k
+            return
+        i, alone = failure
+        with pytest.raises(ValidationError) as info:
+            xs.validate(*params)
+        assert type(info.value) is type(alone) and str(info.value) == str(alone)
+        assert info.value.index == i and alone.index is None
+
+    def test_batch_clamps_as_each_element_alone(self):
+        # coherences on their bound plus rounding-sized noise: about half of
+        # them round past it and are clamped
+        params = self.noisy_params(0, 400, 1e-15)
+        states, failure = self.one_by_one(params)
+        assert failure is None
+        batch = xs.validate(*params)
+        for k in "abcdzw":
+            assert getattr(batch, k).tobytes() == getattr(xs.stack(states), k).tobytes(), k
+        clamped = [i for i, x in enumerate(states) if x.w != params[5][i]]
+        assert len(clamped) > 20
 
 
 class TestNormalizePhases:
