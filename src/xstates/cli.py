@@ -41,7 +41,7 @@ from .dynamics import check_kraus, check_lindblad, esd_time, evolve, grade
 from .errors import CompletenessViolated, NotPreserving, StepRejected, XStatesError
 from .measures import concurrence, report
 from .oracle import approx_error_campaign
-from .core import random_xstates, unstack
+from .core import random_xstates
 
 _LOG = logging.getLogger("xstates")
 
@@ -102,7 +102,7 @@ def _cmd_measures(args, started) -> int:
 def _cmd_gen(args, started) -> int:
     states = random_xstates(args.seed, 0, args.n)
     entangled = int((concurrence(states) > 0.0).sum())
-    fileio.save_corpus(args.out, unstack(states))
+    fileio.save_corpus(args.out, states)
     _write_manifest(args, started, extra={"frac_entangled": entangled / args.n})
     return EXIT_OK
 

@@ -161,7 +161,14 @@ def _hypot(x, y):
     serves a state cheaply and a batch. On a tie a ufunc returns its second
     argument (np.maximum(-0.0, 0.0) is 0.0, ``max`` gives -0.0). ``log2``
     stays numpy's: ``math.log2`` differs from its SIMD kernel in the last
-    bit on 0.2% of inputs. ``x ** 2`` on a float is libm's pow, an ulp off
+    bit on 0.2% of inputs. So one state's entropies take one ``np.log2``
+    call on the flat list of their table's entries (the float route of
+    ``spectral.entropy``, ``spectral._entropy_columns``); each column is
+    then summed in Python in the order of numpy's axis-0 reduction, from
+    its identity 0.0, zero entries kept.
+    The products and sums are IEEE-exact and ``np.log2`` rounds an entry
+    alike wherever it sits, so the bits are the batch's, signed zeros
+    included. ``x ** 2`` on a float is libm's pow, an ulp off
     x * x on 0.1% of inputs; two squares in ``measures`` keep it for the
     bytes of one state's report, so only there may a state and its batch
     element differ."""

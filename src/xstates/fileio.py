@@ -16,8 +16,9 @@ import tempfile
 
 import numpy as np
 
-from .core import XState, from_matrix, validate
+from .core import XState, from_matrix, stack, unstack, validate
 from .dynamics import KrausSet, LindbladSpec, pauli_string_matrix
+from .errors import ValidationError
 
 
 def format_float(x: float) -> str:
@@ -130,12 +131,18 @@ def _require_object(obj, what: str) -> dict:
     return obj
 
 
+# JSON text to Python values. dumps writes the float -0.0 as "-0", which
+# reads as -0.0 here rather than as the integer 0, so every float written
+# reads back with its bits
+_decode = json.JSONDecoder(parse_int=lambda t: -0.0 if t == "-0" else int(t)).decode
+
+
 def _read_object(path: str, what: str) -> dict:
     """The JSON object in file ``path``. Text nested too deeply to parse is
     malformed input (ValueError), like any other unparseable text."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            obj = _decode(fh.read())
         except RecursionError as exc:
             raise ValueError(f"{what} is nested too deeply to parse") from exc
     return _require_object(obj, what)
@@ -172,10 +179,15 @@ def state_from_obj(obj: dict) -> XState:
             dtype=np.complex128,
         )
         return from_matrix(m)
+    return validate(*_state_params(obj))
+
+
+def _state_params(obj: dict) -> tuple:
+    """The parameters (a, b, c, d, z, w) of a state object, not validated."""
     missing = [k for k in ("a", "b", "c", "d") if k not in obj]
     if missing:
         raise ValueError(f"state object lacks keys {missing}")
-    return validate(
+    return (
         _number(obj["a"], "a", float),
         _number(obj["b"], "b", float),
         _number(obj["c"], "c", float),
@@ -195,20 +207,70 @@ def save_state(path: str, x: XState) -> None:
     write_json(path, state_to_obj(x))
 
 
+# dumps(state_to_obj(x)) of a state x, written from its eight real numbers
+_CORPUS_LINE = ('{"a": %.17g, "b": %.17g, "c": %.17g, "d": %.17g, '
+                '"z": {"re": %.17g, "im": %.17g}, "w": {"re": %.17g, "im": %.17g}}')
+
+
 def save_corpus(path: str, states) -> None:
-    """One JSON state object per line."""
-    lines = [dumps(state_to_obj(x)) for x in states]
+    """One JSON state object per line, each the bytes of
+    ``dumps(state_to_obj(x))``. ``states`` is a batch (see
+    :func:`~xstates.core.stack`) or a sequence of states; the lines are
+    written from the batch's columns with one template."""
+    batch = states if isinstance(states, XState) else stack(list(states))
+    z, w = batch.z, batch.w
+    columns = np.array([batch.a, batch.b, batch.c, batch.d, z.real, z.imag, w.real, w.imag],
+                       dtype=float)
+    if not np.isfinite(columns).all():
+        raise ValueError("cannot serialize a state with non-finite parameters")
+    lines = [_CORPUS_LINE % row for row in zip(*columns.tolist())]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def load_corpus(path: str):
-    states = []
-    with open(path) as fh, _parsing("corpus"):
-        for line in fh:
+def load_corpus(path: str) -> list:
+    """The states of a corpus file, one JSON state object per line, blank
+    lines skipped. Lines in the parameter form are parsed into columns and
+    validated as one batch; a line in the matrix form is taken as
+    :func:`load_state` takes it. The first bad line raises a ValueError
+    (for an invalid state, its :class:`~xstates.errors.ValidationError`)
+    whose message begins with its 1-based line number."""
+    columns = ([], [], [], [], [], [])
+    numbers = []  # the line number of each row of the columns
+    matrix_states = {}  # position in the corpus -> state of a matrix line
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                states.append(state_from_obj(json.loads(line)))
+            if not line:
+                continue
+            try:
+                obj = _require_object(_decode(line), "state")
+                if "matrix" in obj:
+                    matrix_states[len(numbers) + len(matrix_states)] = state_from_obj(obj)
+                    continue
+                for column, value in zip(columns, _state_params(obj)):
+                    column.append(value)
+            except ValueError as exc:
+                _validate_rows(columns, numbers)  # an earlier invalid state goes first
+                exc.args = (f"corpus line {number}: {exc}",)
+                raise
+            except (TypeError, OverflowError, RecursionError) as exc:
+                _validate_rows(columns, numbers)
+                raise ValueError(f"corpus line {number}: malformed state: {exc}") from exc
+            numbers.append(number)
+    states = unstack(_validate_rows(columns, numbers))
+    for position, x in matrix_states.items():  # in increasing position
+        states.insert(position, x)
     return states
+
+
+def _validate_rows(columns: tuple, numbers: list) -> XState:
+    """The batch of the rows of ``columns``; an invalid row's error is
+    prefixed with its corpus line from ``numbers``."""
+    try:
+        return validate(*map(np.array, columns))
+    except ValidationError as exc:
+        exc.args = (f"corpus line {numbers[exc.index]}: {exc}",)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import FanoParams, XState, _max, _min, _sqrt, _where, to_fano
 from .errors import NotMMM, UnnormalizedPhases
-from .spectral import _block_spectrum, entropy
+from .spectral import _block_spectrum, _entropy_columns, entropy
 
 SCHMIDT_THRESHOLD = 1e-10
 MMM_TOL = 1e-10
@@ -61,7 +61,10 @@ def fef(x: XState):
 @dataclass(frozen=True)
 class SchmidtSpectrum:
     """Operator-Schmidt singular values (descending along axis 0) of the
-    Pauli correlation matrix, normalized so sum(s_i^2) equals the purity."""
+    Pauli correlation matrix, normalized so sum(s_i^2) equals the purity.
+
+    ``values`` is a float array: shape ``(4,)`` for one state and ``(4, n)``
+    for a batch of ``n``."""
 
     values: np.ndarray
     threshold: float = SCHMIDT_THRESHOLD
@@ -75,10 +78,13 @@ def schmidt_spectrum(x: XState) -> SchmidtSpectrum:
     """
     if np.any(abs(np.imag(x.z)) > 1e-12) or np.any(abs(np.imag(x.w)) > 1e-12):
         raise UnnormalizedPhases("schmidt_spectrum needs real coherences")
-    return _schmidt(to_fano(x))
+    return SchmidtSpectrum(np.asarray(_schmidt(to_fano(x))))
 
 
-def _schmidt(f: FanoParams) -> SchmidtSpectrum:
+def _schmidt(f: FanoParams):
+    """The operator-Schmidt values in descending order: a tuple of four
+    Python floats for one state, an array with the values on axis 0 for a
+    batch."""
     q = 1.0 + f.A3 * f.A3 + f.B3 * f.B3 + f.C3 * f.C3
     # ``** 2`` here and in _entropies stays (see core._hypot)
     root = _sqrt(_max(q * q - 4.0 * (f.C3 - f.A3 * f.B3) ** 2, 0.0))
@@ -89,14 +95,21 @@ def _schmidt(f: FanoParams) -> SchmidtSpectrum:
         _sqrt(_max(q - root, 0.0)) / _TWO_SQRT2,
     ]
     if type(root) is float:
-        return SchmidtSpectrum(np.array(sorted(s, reverse=True)))
-    return SchmidtSpectrum(np.sort(np.array(s), axis=0)[::-1])
+        return tuple(sorted(s, reverse=True))
+    return np.sort(np.array(s), axis=0)[::-1]
 
 
 def schmidt_number(spectrum: SchmidtSpectrum):
     """Count of singular values above threshold; 4 means the state can
     drive ancilla-assisted process tomography."""
-    return (spectrum.values > spectrum.threshold).sum(axis=0)
+    return _rank(spectrum.values, spectrum.threshold)
+
+
+def _rank(values, threshold: float = SCHMIDT_THRESHOLD):
+    # a count over one state's tuple of Python floats, a sum along axis 0 else
+    if type(values) is tuple:
+        return sum(v > threshold for v in values)
+    return (values > threshold).sum(axis=0)
 
 
 def geometric_discord_fano(f: FanoParams, side: str = "A", variant: str = "general"):
@@ -148,14 +161,16 @@ def _entropies(m: XState, f: FanoParams, side: str) -> _Entropies:
     c = _max(_max(abs(f.C1), abs(f.C2)), abs(f.C3))
     pa, pb, zero = m.a + m.b, m.a + m.c, 0.0 * m.a
     l0, l1, l2, l3 = _block_spectrum(m.a, m.b, m.c, m.d, m.abs_z, m.abs_w)
-    h = entropy(np.array([
+    rows = [
         # rho  diag  rho_A     rho_B     N1                MMM
         (l0,   m.a,  pa,       pb,       0.5 + 0.5 * root, 0.5 * (1.0 + c)),
         (l1,   m.b,  1.0 - pa, 1.0 - pb, 0.5 - 0.5 * root, 0.5 * (1.0 - c)),
         (l2,   m.c,  zero,     zero,     zero,             zero),
         (l3,   m.d,  zero,     zero,     zero,             zero),
-    ]))
-    return _Entropies(*(h.tolist() if h.ndim == 1 else h))
+    ]
+    if type(l0) is float:
+        return _Entropies(*_entropy_columns(rows))
+    return _Entropies(*entropy(np.array(rows)))
 
 
 def _state_entropies(x: XState, side: str) -> _Entropies:
@@ -242,18 +257,23 @@ def mid(x: XState):
 @dataclass(frozen=True)
 class MeasureReport:
     """Every closed-form quantifier for one state, or for each state of a
-    batch (array fields; ``schmidt_values`` has the values on axis 0).
+    batch.
 
-    ``mmm_discord`` is None for a state whose marginals are not maximally
-    mixed (a batch holds an object array of floats and None); ``side``
-    records which subsystem the discord-family measures condition on.
+    For one state (an :class:`XState` with Python float and complex
+    fields) every measure is a Python float, ``schmidt_values`` a tuple of
+    four Python floats in descending order and ``schmidt_number`` an int.
+    For a batch the fields are arrays over the states, and
+    ``schmidt_values`` has the values on axis 0. ``mmm_discord`` is None
+    for a state whose marginals are not maximally mixed (a batch holds an
+    object array of floats and None); ``side`` records which subsystem the
+    discord-family measures condition on.
     """
 
     concurrence: float
     negativity: float
     fef: float
     fef_fidelity: float
-    schmidt_values: np.ndarray
+    schmidt_values: tuple | np.ndarray
     schmidt_number: int
     geometric_discord_general: float
     geometric_discord_paper: float
@@ -265,9 +285,11 @@ class MeasureReport:
     side: str
 
     def to_dict(self) -> dict:
-        """Plain Python values (lists over the states for a batch)."""
+        """Plain Python values, ``schmidt_values`` as a list (lists over the
+        states for a batch)."""
         # vars() holds the fields in their order
-        return {k: v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+        return {k: v.tolist() if isinstance(v, (np.ndarray, np.generic))
+                else list(v) if type(v) is tuple else v
                 for k, v in vars(self).items()}
 
 
@@ -279,15 +301,15 @@ def report(x: XState, side: str = "B") -> MeasureReport:
     f = to_fano(m)
     ent = _entropies(m, f, side)
     ad = _approx(ent, side)
-    ss = _schmidt(f)
+    values = _schmidt(f)
     e = fef(m)
     return MeasureReport(
         concurrence=concurrence(m),
         negativity=negativity(m),
         fef=e,
         fef_fidelity=0.5 * (e + 1.0),
-        schmidt_values=ss.values,
-        schmidt_number=schmidt_number(ss),
+        schmidt_values=values,
+        schmidt_number=_rank(values),
         geometric_discord_general=geometric_discord_fano(f, side=side, variant="general"),
         geometric_discord_paper=geometric_discord_fano(f, side=side, variant="paper"),
         approx_discord=ad.q,

@@ -1,10 +1,12 @@
 """Properties of ``fileio.dumps``: the same bytes as the plain recursive
 serializer it replaced, floats that parse back bit for bit, and no token
-for a non-finite number."""
+for a non-finite number; report and corpus lines are strict JSON."""
 
 import json
 import math
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import xstates as xs
 from xstates import fileio
+from test_batch import states_with_edges
 
 DUMPS_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -119,3 +122,36 @@ class TestDumps:
         for obj in (fileio.state_to_obj(x), xs.report(x).to_dict(),
                     xs.report(xs.stack([x, xs.werner(0.3)]), side="A").to_dict()):
             assert fileio.dumps(obj) == reference_emit(obj)
+
+
+def refuse_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def strict_parse(text: str):
+    """:func:`parse`, refusing NaN and infinities as a strict JSON parser does."""
+    return json.loads(text, parse_constant=refuse_constant, parse_int=str,
+                      object_pairs_hook=list)
+
+
+class TestStrictJson:
+    """Report lines and corpus lines of any state, edge states included, are
+    strict JSON whose floats parse back bit for bit, the sign of zero too."""
+
+    @DUMPS_PROPERTY
+    @given(st.lists(states_with_edges(), min_size=1, max_size=4))
+    def test_report_and_corpus_lines(self, states):
+        for side in "AB":
+            for x in states:
+                rep = xs.report(x, side=side).to_dict()
+                for value, token in float_pairs(rep, strict_parse(fileio.dumps(rep))):
+                    assert bits(float(token)) == bits(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus.jsonl")
+            fileio.save_corpus(path, states)
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        assert len(lines) == len(states)
+        for x, line in zip(states, lines):
+            for value, token in float_pairs(fileio.state_to_obj(x), strict_parse(line)):
+                assert bits(float(token)) == bits(value)

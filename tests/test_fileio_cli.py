@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 import xstates as xs
 from xstates import fileio
-from xstates.cli import main
+from xstates.cli import _ERRORS, EXIT_PARSE, main
+from test_output_bytes import edge_states
 
 
 def run_cli(*args):
@@ -43,10 +45,30 @@ class TestStateFiles:
         assert complex(y.w) == pytest.approx(complex(x.w), abs=1e-15)
 
     def test_corpus_round_trip(self, tmp_path):
+        # real and complex coherences, and the edge states (Bell, product
+        # |00>, zero coherences) with negative zeros in the coherences
         states = [xs.random_xstate(3, i) for i in range(20)]
+        states += [xs.random_xstate(3, i, complex_phases=True) for i in range(20)]
+        states += edge_states()
+        states += [xs.validate(0.4, 0.3, 0.2, 0.1, z=complex(-0.0, -0.0), w=complex(0.0, -0.0)),
+                   xs.validate(0.25, 0.25, 0.25, 0.25, z=complex(-0.1, 0.0), w=-0.0)]
         path = tmp_path / "corpus.jsonl"
         fileio.save_corpus(str(path), states)
-        assert fileio.load_corpus(str(path)) == states
+        loaded = fileio.load_corpus(str(path))
+        assert loaded == states
+        assert [state_bits(x) for x in loaded] == [state_bits(x) for x in states]
+        lines = path.read_text().splitlines()
+        assert lines == [fileio.dumps(fileio.state_to_obj(x)) for x in states]
+        batch_path = tmp_path / "batch.jsonl"
+        fileio.save_corpus(str(batch_path), xs.stack(states))
+        assert batch_path.read_bytes() == path.read_bytes()
+
+    def test_empty_corpus_round_trip(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        fileio.save_corpus(str(path), [])
+        assert fileio.load_corpus(str(path)) == []
+        path.write_text("")
+        assert fileio.load_corpus(str(path)) == []
 
     def test_seventeen_digit_floats(self):
         text = fileio.dumps({"x": 1.0 / 3.0})
@@ -57,6 +79,87 @@ class TestStateFiles:
     def test_non_finite_floats_rejected(self, value):
         with pytest.raises(ValueError, match="non-finite"):
             fileio.dumps({"x": [0.5, value]})
+
+
+def state_bits(x) -> bytes:
+    """The eight real numbers of a state as IEEE doubles, negative zeros
+    included."""
+    z, w = complex(x.z), complex(x.w)
+    return struct.pack("<8d", x.a, x.b, x.c, x.d, z.real, z.imag, w.real, w.imag)
+
+
+CORPUS = [fileio.dumps(fileio.state_to_obj(xs.random_xstate(9, i))) for i in range(5)]
+
+
+class TestCorpusErrors:
+    """A bad corpus line raises a ValueError (the CLI's exit 2) whose message
+    names the line, counted from 1 with blank lines included."""
+
+    @staticmethod
+    def write(tmp_path, lines) -> str:
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ('{"a": 0.5, "b": 0.5,', json.JSONDecodeError, "Expecting property name"),
+        ('{"a": "0.25", "b": 0.25, "c": 0.25, "d": 0.25}', ValueError,
+         "a must be a number, got '0.25'"),
+        ('[0.25, 0.25, 0.25, 0.25]', ValueError, "state must be a JSON object"),
+        ('{"a": 0.25, "b": 0.25, "c": 0.25}', ValueError, "lacks keys ['d']"),
+        ('{"a": -0.1, "b": 0.5, "c": 0.4, "d": 0.2}', xs.errors.NegativePopulation,
+         "population a = -0.1 is negative"),
+        ('{"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25, "z": {"re": 0.3, "im": 0.0}}',
+         xs.errors.CoherenceBoundViolated, "|z| = 0.3 exceeds its positivity bound"),
+        ('{"matrix": 5}', ValueError, "malformed state"),
+        ('{"matrix": [[0.5, 0, 0, 0], [0, 0.5, 0, 0.1], [0, 0, 0, 0], [0, 0.1, 0, 0]]}',
+         xs.errors.NotXShaped, "off-pattern entry (1, 3)"),
+    ])
+    def test_bad_line_is_named(self, tmp_path, bad, error, message):
+        path = self.write(tmp_path, CORPUS[:2] + [bad] + CORPUS[2:4])
+        with pytest.raises(error) as exc:
+            fileio.load_corpus(path)
+        code = next(c for cls, c, _ in _ERRORS if isinstance(exc.value, cls))
+        assert code == EXIT_PARSE
+        assert str(exc.value).startswith("corpus line 3: ")
+        assert message in str(exc.value)
+
+    def test_first_invalid_state_is_named(self, tmp_path):
+        bad = '{"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}'
+        path = self.write(tmp_path, CORPUS[:3] + [bad, CORPUS[3], bad])
+        with pytest.raises(xs.errors.TraceError, match=r"^corpus line 4: populations sum to 2"):
+            fileio.load_corpus(path)
+
+    @pytest.mark.parametrize("later", [
+        '{"a": 0.5, "b": 0.5,',
+        '{"a": 0.25, "b": 0.25, "c": 0.25}',
+        '{"matrix": 5}',
+        '{"matrix": [[0.5, 0, 0, 0], [0, 0.5, 0, 0.1], [0, 0, 0, 0], [0, 0.1, 0, 0]]}',
+    ])
+    def test_invalid_state_is_named_before_a_later_bad_line(self, tmp_path, later):
+        bad = '{"a": -0.1, "b": 0.5, "c": 0.4, "d": 0.2}'
+        path = self.write(tmp_path, [CORPUS[0], bad, CORPUS[1], later, CORPUS[2]])
+        with pytest.raises(xs.errors.NegativePopulation, match=r"^corpus line 2: population a"):
+            fileio.load_corpus(path)
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        lines = ["", CORPUS[0], "   ", "", CORPUS[1], "\t"]
+        assert fileio.load_corpus(self.write(tmp_path, lines)) == fileio.load_corpus(
+            self.write(tmp_path, CORPUS[:2]))
+        path = self.write(tmp_path, lines + ['{"a": 1.5, "b": 0.0, "c": 0.0, "d": -0.5}'])
+        with pytest.raises(xs.errors.NegativePopulation, match=r"^corpus line 7: "):
+            fileio.load_corpus(path)
+
+    def test_matrix_line_loads_as_a_state_file(self, tmp_path):
+        m = xs.random_xstate(4, 1, complex_phases=True).to_matrix()
+        matrix_line = json.dumps({"matrix": [[[v.real, v.imag] for v in row] for row in m]})
+        (tmp_path / "state.json").write_text(matrix_line)
+        expected = fileio.load_state(str(tmp_path / "state.json"))
+        loaded = fileio.load_corpus(self.write(tmp_path, [CORPUS[0], matrix_line, CORPUS[1]]))
+        assert [state_bits(x) for x in loaded] == [
+            state_bits(x) for x in (fileio.load_corpus(self.write(tmp_path, CORPUS[:1]))[0],
+                                    expected,
+                                    fileio.load_corpus(self.write(tmp_path, CORPUS[1:2]))[0])]
 
 
 class TestOperatorParsing:

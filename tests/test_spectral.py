@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xstates as xs
 from conftest import dense_entropy, dense_partial_transpose, random_states
+from xstates.spectral import _entropy_columns
 
 
 def spectrum(x) -> np.ndarray:
@@ -76,6 +79,10 @@ class TestEigendecompose:
             assert np.abs(np.sort(lam)[::-1] - numeric).max() < 1e-10
 
 
+# probabilities, zeros of both signs, ones and rounding-sized negatives
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 0.5, -1e-17]) | st.floats(0.0, 1.0)
+
+
 class TestEntropyPurity:
     def test_bell_entropy_zero(self):
         assert xs.entropy(xs.eigenvalues(xs.bell(2))) == 0.0
@@ -97,6 +104,17 @@ class TestEntropyPurity:
             assert xs.entropy(xs.eigenvalues(x)) == pytest.approx(
                 xs.entropy(xs.eigenvalues(x.swap_qubits())), abs=1e-12
             )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.tuples(*[_ENTRIES] * k), min_size=4, max_size=4)))
+    def test_float_route_has_the_array_bits(self, rows):
+        # four rows of Python floats, negative zeros and entries <= 0
+        # included, give the array route's bits; a column whose entries are
+        # all zeros sums to 0.0, whatever their signs
+        floats = _entropy_columns(rows)
+        assert type(floats) is list and all(type(v) is float for v in floats)
+        assert [v.hex() for v in floats] == [v.hex() for v in xs.entropy(np.array(rows)).tolist()]
 
     def test_purity_values(self):
         assert xs.purity(xs.bell(1)) == pytest.approx(1.0)
