@@ -1,5 +1,6 @@
 """Hot numeric kernels: the measured conditional entropy with its
-minimisation over measurement angles, and the matrix exponential."""
+minimisation over measurement angles, and the matrix exponential and its
+action on a vector from one truncated Taylor series."""
 
 from __future__ import annotations
 
@@ -142,41 +143,54 @@ def min_conditional_entropy(a, b, c, d, z, w, grid=64):
 # matrix exponential for the exact propagators in dynamics
 # ---------------------------------------------------------------------------
 
-# [13/13] Pade approximant of exp (Higham, SIAM J. Matrix Anal. Appl. 26,
-# 1179 (2005)): numerator coefficients b_k (the denominator's are
-# (-1)^k b_k), and the 1-norm up to which its backward error is below
-# double rounding
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-EXPM_THETA = 5.371920351148152
+# expm sums the series of a matrix scaled to at most this 1-norm, and the
+# action in dynamics.esd_time cuts its bracket into pieces of at most this
+# much ||G||_1 tau
+TAYLOR_SPAN = 1.0
+
+
+def taylor_terms(a: np.ndarray, v: np.ndarray, norm: float) -> np.ndarray:
+    """The terms a^k v / k!, k = 0, 1, ..., of the series of expm(a) v,
+    stacked on axis 0; ``v`` is a vector or a matrix.
+
+    ``norm`` bounds the 1-norm of ``a``, so norm^k / k! bounds the k-th term
+    relative to v. Terms are kept while that bound is at least 2^-53, the
+    first one below it ends the series (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)).
+    """
+    count, bound = 1, norm  # terms kept, and the bound of the next one
+    while bound >= 2.0**-53:
+        count += 1
+        bound *= norm / count
+    terms = np.empty((count,) + np.shape(v), dtype=np.result_type(a, v))
+    terms[0] = v
+    for k in range(1, count):
+        np.matmul(a, terms[k - 1], out=terms[k])
+        terms[k] /= k
+    return terms
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix by scaling and squaring.
 
-    ``a`` is divided by 2^s so that its 1-norm is at most ``EXPM_THETA``,
-    exponentiated with the [13/13] Pade approximant and squared s times.
-    Defective matrices need no special treatment. A real matrix has a real
-    exponential, computed in real arithmetic.
+    ``a`` is halved s times until its 1-norm is at most ``TAYLOR_SPAN``, the
+    :func:`taylor_terms` of the scaled matrix on the identity are summed, and
+    the sum is squared s times. Defective matrices need no special treatment;
+    expm(0) is the identity exactly. A real matrix has a real exponential,
+    computed in real arithmetic. Raises ValueError for a matrix whose 1-norm
+    is not finite.
     """
     a = np.asarray(a)
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     norm = float(np.abs(a).sum(axis=0).max())
-    squarings = math.ceil(math.log2(norm / EXPM_THETA)) if norm > EXPM_THETA else 0
-    a = a * 0.5**squarings
-    b = _PADE13
-    ident = np.eye(a.shape[0], dtype=a.dtype)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    out = np.linalg.solve(v - u, v + u)
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot exponentiate a matrix of 1-norm {norm}")
+    squarings = 0
+    while norm > TAYLOR_SPAN:
+        norm *= 0.5
+        squarings += 1
+    scaled = a * 0.5**squarings
+    out = taylor_terms(scaled, np.eye(a.shape[0], dtype=a.dtype), norm).sum(axis=0)
     for _ in range(squarings):
         out = out @ out
     return out

@@ -78,16 +78,6 @@ class XState:
         """|w|, rounded as :attr:`abs_z`."""
         return abs(self.w) if type(self.w) is float else _hypot(self.w.real, self.w.imag)
 
-    @property
-    def is_phase_normalized(self) -> bool:
-        z, w = complex(self.z), complex(self.w)
-        return (
-            abs(z.imag) <= COHERENCE_TOL
-            and abs(w.imag) <= COHERENCE_TOL
-            and z.real >= -COHERENCE_TOL
-            and w.real >= -COHERENCE_TOL
-        )
-
 
 @dataclass(frozen=True)
 class FanoParams:

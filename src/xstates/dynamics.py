@@ -11,6 +11,8 @@ which on the eight real coordinates (a, b, c, d, Re z, Im z, Re w, Im w)
 is a real 8x8 matrix G. :func:`evolve` and :func:`esd_time` propagate
 with expm(G t); :func:`propagate` applies the full expm(L t) to a 4x4
 matrix, leakage included, for maps that need not preserve the pattern.
+Every exponential and every action of one on a vector is summed from the
+truncated Taylor series of :func:`_kernels.taylor_terms`.
 """
 
 from __future__ import annotations
@@ -282,27 +284,25 @@ def superoperator(obj) -> np.ndarray:
     return _lindblad_superoperator(obj)
 
 
+def _verdict(superop: np.ndarray, noun: str) -> Verdict:
+    """The preservation verdict on a superoperator, naming it ``noun``."""
+    leaks = _leaks(superop)
+    if leaks:
+        return Verdict(False, f"{noun} mixes the two support patterns", leaks)
+    return Verdict(True, f"{noun} preserves the X pattern")
+
+
 def check_lindblad(spec: LindbladSpec) -> Verdict:
     """A generator preserves the X pattern iff its Liouvillian sends no
     X-pattern matrix off the pattern."""
-    return _lindblad_verdict(superoperator(spec))
-
-
-def _lindblad_verdict(liouvillian: np.ndarray) -> Verdict:
-    leaks = _leaks(liouvillian)
-    if leaks:
-        return Verdict(False, "generator mixes the two support patterns", leaks)
-    return Verdict(True, "generator preserves the X pattern")
+    return _verdict(superoperator(spec), "generator")
 
 
 def check_kraus(channel: KrausSet) -> Verdict:
     """A channel preserves the X pattern iff its superoperator sends no
     X-pattern matrix off the pattern. Trace preservation
     sum(X_i^dag X_i) = I is enforced first."""
-    leaks = _leaks(superoperator(channel))
-    if leaks:
-        return Verdict(False, "channel mixes the two support patterns", leaks)
-    return Verdict(True, "channel preserves the X pattern")
+    return _verdict(superoperator(channel), "channel")
 
 
 def apply_channel(channel: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -354,10 +354,6 @@ _TRAJECTORY_MEASURES = {
 MAX_SAMPLES = 100_000
 # the largest |trace - 1| a propagated sample may show before it is normalised
 TRACE_DRIFT_TOL = 1e-9
-# a single Taylor sum of expm(G tau) x in esd_time spans at most this much
-# ||G||_1 tau; a wider bracket is cut into pieces
-TAYLOR_SPAN = 1.0
-_UNIT_ROUNDOFF = 2.0**-53
 # esd_time: a concurrence at or below ESD_TOL is dead, it must stay dead for
 # ESD_CONFIRM more samples, and the crossing gets at most ESD_ITERATIONS
 # bisection steps
@@ -423,11 +419,11 @@ def evolve(
     """Propagate a pattern-preserving master equation from ``x0``.
 
     The generator G, the X <- X block of the Liouvillian, acts on the eight
-    real coordinates of the state through the exact step propagator
-    P = expm(G dt); between samples its ``sample_every``-th power is
-    applied, so a sample at ``step * dt`` is P^step applied to ``x0``. The
-    run takes ``round(t_max / dt)`` steps (at least one), and its last
-    interval is shorter when ``sample_every`` does not divide them.
+    real coordinates of the state. Each sample is the one before it times
+    the exact propagator expm(G dt sample_every). The run takes
+    ``round(t_max / dt)`` steps (at least one); when ``sample_every`` does
+    not divide them, the last interval is r < ``sample_every`` steps and
+    uses expm(G dt r).
 
     Every sample is propagated first and then checked in one batched pass:
     its trace must stay within ``TRACE_DRIFT_TOL`` of one, and, normalised,
@@ -463,21 +459,18 @@ def evolve(
                 f"unknown measure {name!r}; available: {sorted(_TRAJECTORY_MEASURES)}"
             )
     liouvillian = superoperator(spec)
-    verdict = _lindblad_verdict(liouvillian)
+    verdict = _verdict(liouvillian, "generator")
     if not verdict.preserving:
         raise NotPreserving(f"{verdict.message}: {', '.join(verdict.offenders)}")
     generator = _x_block(liouvillian)
-    prop = _kernels.expm(generator * dt)
-    hop = np.linalg.matrix_power(prop, sample_every)
+    hop = _kernels.expm(generator * (dt * sample_every))
     ends = [*range(sample_every, steps, sample_every), steps]
     coords = np.empty((len(ends), 8))
     x = _coords(x0)
-    done = 0
     for row, n in enumerate(ends):
-        # P^sample_every between samples; the last interval may be shorter
-        power = hop if n - done == sample_every else np.linalg.matrix_power(prop, n - done)
-        x = coords[row] = power @ x
-        done = n
+        if n % sample_every:  # the short last interval
+            hop = _kernels.expm(generator * (dt * (n % sample_every)))
+        x = coords[row] = hop @ x
     times = np.array([0.0] + [n * dt for n in ends])
     checked = _checked_samples(coords, times[1:])
     samples = XState(*(np.concatenate(([getattr(x0, k)], getattr(checked, k))) for k in "abcdzw"))
@@ -529,38 +522,26 @@ def _concurrence_gap(x: np.ndarray) -> float:
 def _expm_action(generator: np.ndarray, x: np.ndarray, width: float):
     """The function tau -> expm(generator * tau) @ x on 0 <= tau <= width.
 
-    The action of the exponential on one vector from truncated Taylor series
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). The bracket is
-    cut into the fewest equal pieces with ||G||_1 * piece <= TAYLOR_SPAN.
-    About the start x_j of piece j the series keeps the terms
-    (G piece)^k x_j / k! up to the first one whose bound, the k-th term of
-    exp(||G||_1 * piece), is below the unit roundoff. The terms of a piece
-    are computed when a point first falls in it, with x_j = expm(G piece)^j
-    x; after that a point costs one (K,) @ (K, 8) product.
+    The bracket is cut into the fewest equal pieces with
+    ||G||_1 * piece <= ``_kernels.TAYLOR_SPAN``. When a point first falls in
+    piece j, its start x_j = expm(G piece j) @ x is computed and the
+    :func:`_kernels.taylor_terms` (G piece)^k x_j / k! are kept; after that a
+    point at tau = piece (j + s) costs one product of the powers s^k with
+    those terms.
     """
-    span = np.abs(generator).sum(axis=0).max() * width
-    pieces = max(1, math.ceil(span / TAYLOR_SPAN))
+    norm = float(np.abs(generator).sum(axis=0).max())
+    pieces = max(1, math.ceil(norm * width / _kernels.TAYLOR_SPAN))
     step = width / pieces
-    count, term = 0, 1.0  # terms kept, and the bound of the first one dropped
-    while term > _UNIT_ROUNDOFF:
-        count += 1
-        term *= span / pieces / count
     gen = generator * step
-    hop = _kernels.expm(gen) if pieces > 1 else None
-    exponents = np.arange(count, dtype=float)
-    factorials = np.cumprod(np.maximum(exponents, 1.0))[:, None]
-    terms = {}  # piece -> its terms as a (count, 8) array
+    terms = {}  # piece -> its terms as a (K, 8) array
 
     def action(tau: float) -> np.ndarray:
         u = tau / step
         j = min(int(u), pieces - 1)
         if j not in terms:
-            t = np.empty((count, 8))
-            t[0] = x if j == 0 else np.linalg.matrix_power(hop, j) @ x
-            for k in range(1, count):
-                np.matmul(gen, t[k - 1], out=t[k])
-            terms[j] = t / factorials
-        return np.dot((u - j) ** exponents, terms[j])
+            start = x if j == 0 else _kernels.expm(gen * j) @ x
+            terms[j] = _kernels.taylor_terms(gen, start, norm * step)
+        return np.dot((u - j) ** np.arange(len(terms[j]), dtype=float), terms[j])
 
     return action
 
@@ -572,8 +553,9 @@ def esd_time(traj: Trajectory) -> Optional[float]:
     followed by ``ESD_CONFIRM`` equally dead samples, then refines the
     crossing by bisection between that sample and the one before. The state
     at each midpoint is the action expm(G tau) x on the coordinates x of the
-    earlier sample, summed from Taylor terms computed once for the bracket
-    (:func:`_expm_action`), so a midpoint costs one small product. Returns
+    earlier sample, summed from Taylor terms computed once for each piece of
+    the bracket (:func:`_expm_action`), so a midpoint costs one small
+    product. Returns
     None when the concurrence never vanishes on the horizon.
     """
     if "concurrence" in traj.measures:

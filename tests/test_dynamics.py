@@ -392,6 +392,79 @@ class TestExpm:
         )
         assert self.rel_err(50.0 * liouvillian) < 1e-12
 
+    @pytest.mark.parametrize("family", ["damping", "rotated_dephasing", "strong_hamiltonian"])
+    @pytest.mark.parametrize("block", ["liouvillian", "x_block"])
+    def test_generator_families_across_scales(self, family, block):
+        # the 16x16 complex L and the real 8x8 G it is on X states, from a
+        # scale whose series is three terms long to ones that take over ten
+        # squarings
+        ham = {"ZZ": 40.0, "XX": 30.0, "YY": 30.0}
+        spec = {
+            "damping": lambda: damping_spec(0.7, 1.3),
+            "rotated_dephasing": rotated_zi_xi_spec,
+            "strong_hamiltonian": lambda: xs.LindbladSpec(
+                damping_spec().operators, np.diag([2.0, 3.0]).astype(complex),
+                sum(c * pauli_string_matrix(p) for p, c in ham.items())),
+        }[family]()
+        liouvillian = xs.superoperator(spec)
+        m = liouvillian if block == "liouvillian" else dynamics._x_block(liouvillian)
+        for scale in (1e-8, 1e-2, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3):
+            assert self.rel_err(scale * m) <= 1e-12, scale
+
+    @pytest.mark.parametrize("norm", [1.0 - 1e-15, 1.0, 1.0 + 1e-15])
+    def test_norms_next_to_the_taylor_span(self, norm):
+        # just below and at TAYLOR_SPAN the series is summed unscaled, just
+        # above it the matrix is halved once and the sum squared
+        m = 0.1 * np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 8))
+        m[:, 0] = 0.0
+        m[5, 0] = -norm  # every other column sums to at most 0.8
+        assert np.abs(m).sum(axis=0).max() == norm
+        assert self.rel_err(m) < 1e-15
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_zero_gives_the_identity_exactly(self, dtype):
+        out = _kernels.expm(np.zeros((16, 16), dtype=dtype))
+        assert out.dtype == dtype
+        assert np.array_equal(out, np.eye(16))
+
+    def test_nilpotent(self):
+        n = np.diag([1.0, 2.0, 3.0], 1)  # n^4 = 0, and ||n||_1 = 3 takes two squarings
+        n2 = n @ n
+        expected = np.eye(4) + n + n2 / 2.0 + n2 @ n / 6.0
+        assert np.abs(_kernels.expm(n) - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("dtype, expected", [
+        (np.int64, np.float64), (np.float32, np.float64), (np.float64, np.float64),
+        (np.complex64, np.complex128), (np.complex128, np.complex128),
+    ])
+    def test_result_dtype(self, dtype, expected):
+        m = np.array([[0.0, 1.0], [-1.0, 0.0]]).astype(dtype)
+        assert _kernels.expm(m).dtype == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        m = -np.eye(4)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="1-norm"):
+            _kernels.expm(m)
+
+    def test_propagate_rejects_a_nan_step(self):
+        rho = xs.werner(0.5).to_matrix()
+        with pytest.raises(ValueError, match="1-norm"):
+            xs.propagate(damping_spec(), rho, float("nan"), 1)
+
+    def test_taylor_terms_stop_below_unit_roundoff(self):
+        # with ||a||_1 = 1 the bound 1/k! first drops below 2^-53 at k = 19
+        a = np.array([[0.5, -0.25], [0.5, 0.75]])
+        v = np.array([1.0, -2.0])
+        terms = _kernels.taylor_terms(a, v, 1.0)
+        assert terms.shape == (19, 2)
+        assert 1.0 / math.factorial(18) >= 2.0**-53 > 1.0 / math.factorial(19)
+        for k, term in enumerate(terms):
+            exact = np.linalg.matrix_power(a, k) @ v / math.factorial(k)
+            assert np.abs(term - exact).max() <= 1e-15 * np.abs(exact).max()
+        assert _kernels.taylor_terms(a, np.eye(2), 0.0).shape == (1, 2, 2)
+
     def test_runtime_imports_no_scipy(self):
         code = ("import sys, xstates; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
@@ -711,8 +784,10 @@ class TestEsd:
         monkeypatch.setattr(dynamics, "_expm_action", recording)
         assert xs.esd_time(traj) is not None
         assert len(seen) > 30 and seen[0][2] > min_span
+        from scipy.linalg import expm  # test-only reference
+
         for generator, x, _, tau, out in seen:
-            exact = _kernels.expm(generator * tau) @ x
+            exact = expm(generator * tau) @ x
             assert np.linalg.norm(out - exact) <= 1e-14 * np.linalg.norm(exact)
 
     def test_damped_werner_matches_frozen_values(self):
@@ -734,7 +809,9 @@ class TestEsd:
 # (eps, gamma_a, gamma_b, j, dt, sample_every, esd_time), made with the
 # expm-per-midpoint bisection; the eps = 0.92 entry was re-derived so when
 # evolve moved from the 16x16 Liouvillian to G, and moved by 1.2e-12, below
-# the bisection's resolution of 1e-12 * t
+# the bisection's resolution of 1e-12 * t. The eps = 0.86, 0.92 and 0.96
+# entries were re-derived so when expm moved from a Pade approximant to the
+# Taylor series, and moved by 5.8e-13, 1.2e-12 and 1.0e-12
 FROZEN_ESD = [
     (0.5, 0.6, 0.5, 0.0, 0.001, 10, 0.36984660211339354),
     (0.52, 0.7, 0.65, 0.0, 0.01, 3, 0.34060083629257865),
@@ -754,10 +831,10 @@ FROZEN_ESD = [
     (0.8, 0.6, 0.65, 1.0, 0.001, 10, 1.2030857838928934),
     (0.8200000000000001, 0.7, 0.8, 1.25, 0.01, 3, 1.0803235046802735),
     (0.8400000000000001, 0.8, 0.95, 1.5, 0.005, 7, 0.9995580134599369),
-    (0.86, 0.9, 1.1, 1.75, 0.001, 10, 0.9467928636432041),
+    (0.86, 0.9, 1.1, 1.75, 0.001, 10, 0.9467928636437863),
     (0.88, 1.0, 1.25, 2.0, 0.01, 3, 0.9145941910393593),
     (0.9, 0.6, 1.4, 2.25, 0.005, 7, 1.0517453810619917),
-    (0.9199999999999999, 0.7, 0.5, 2.5, 0.001, 10, 2.0676764668506804),
+    (0.9199999999999999, 0.7, 0.5, 2.5, 0.001, 10, 2.0676764668518444),
     (0.94, 0.8, 0.65, 2.75, 0.01, 3, 1.9165444034148824),
-    (0.96, 0.9, 0.8, 3.0, 0.005, 7, 1.8798447885970382),
+    (0.96, 0.9, 0.8, 3.0, 0.005, 7, 1.879844788598057),
 ]
