@@ -173,12 +173,13 @@ def taylor_terms(a: np.ndarray, v: np.ndarray, norm: float) -> np.ndarray:
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix by scaling and squaring.
 
-    ``a`` is halved s times until its 1-norm is at most ``TAYLOR_SPAN``, the
-    :func:`taylor_terms` of the scaled matrix on the identity are summed, and
-    the sum is squared s times. Defective matrices need no special treatment;
-    expm(0) is the identity exactly. A real matrix has a real exponential,
-    computed in real arithmetic. Raises ValueError for a matrix whose 1-norm
-    is not finite.
+    ``a`` is halved s times until its 1-norm is at most ``TAYLOR_SPAN``, and
+    the :func:`taylor_terms` of the scaled matrix on the identity are summed.
+    With s > 0 the sum Y of all terms but the identity is squared s times as
+    Y <- 2Y + Y Y, and the result is I + Y. Defective matrices need no
+    special treatment; expm(0) is the identity exactly. A real matrix has a
+    real exponential, computed in real arithmetic. Raises ValueError for a
+    matrix whose 1-norm is not finite.
     """
     a = np.asarray(a)
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
@@ -189,8 +190,13 @@ def expm(a: np.ndarray) -> np.ndarray:
     while norm > TAYLOR_SPAN:
         norm *= 0.5
         squarings += 1
-    scaled = a * 0.5**squarings
-    out = taylor_terms(scaled, np.eye(a.shape[0], dtype=a.dtype), norm).sum(axis=0)
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    terms = taylor_terms(a * 0.5**squarings, eye, norm)
+    if squarings == 0:
+        return terms.sum(axis=0)
+    # (I + Y)^2 = I + (2Y + Y Y): squaring Y keeps the low bits that a sum
+    # I + Y near the identity would round away before every squaring
+    y = terms[1:].sum(axis=0)
     for _ in range(squarings):
-        out = out @ out
-    return out
+        y = 2.0 * y + y @ y
+    return eye + y

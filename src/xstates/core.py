@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,9 +80,8 @@ class XState:
         return abs(self.w) if type(self.w) is float else _hypot(self.w.real, self.w.imag)
 
 
-@dataclass(frozen=True)
-class FanoParams:
-    """Correlation-tensor coordinates of an X state.
+class FanoParams(NamedTuple):
+    """Correlation-tensor coordinates of an X state, an immutable record.
 
     ``A3, B3`` are the local sigma_z components, ``C1, C2, C3`` the
     coefficients of sigma_i (x) sigma_i. Complex coherences additionally

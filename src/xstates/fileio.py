@@ -12,7 +12,7 @@ import contextlib
 import json
 import math
 import os
-import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class _KeyCache(dict):
     dict keys but encode differently)."""
 
     def __missing__(self, k) -> str:
-        encoded = json.dumps(str(k)) + ": "
+        encoded = encode_basestring_ascii(str(k)) + ": "
         if type(k) is str and len(self) < 1024:
             self[k] = encoded
         return encoded
@@ -57,7 +57,8 @@ def _emit(obj) -> str:
             "%.17g" % v if type(v) is float and v - v == 0.0 else _emit(v) for v in obj
         ]) + "]"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        # the bytes of json.dumps(obj), without building an encoder
+        return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -80,8 +81,17 @@ def dumps(obj) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path`` and rename it to ``path``,
+    so a failure leaves no partial output. The file gets the mode that
+    ``open(path, "w")`` gives under the process umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -254,10 +254,9 @@ def mid(x: XState):
     return ent.diag - ent.full
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """Every closed-form quantifier for one state, or for each state of a
-    batch.
+    batch, as an immutable record.
 
     For one state (an :class:`XState` with Python float and complex
     fields) every measure is a Python float, ``schmidt_values`` a tuple of
@@ -285,12 +284,14 @@ class MeasureReport:
     side: str
 
     def to_dict(self) -> dict:
-        """Plain Python values, ``schmidt_values`` as a list (lists over the
-        states for a batch)."""
-        # vars() holds the fields in their order
-        return {k: v.tolist() if isinstance(v, (np.ndarray, np.generic))
-                else list(v) if type(v) is tuple else v
-                for k, v in vars(self).items()}
+        """The fields in their order as plain Python values,
+        ``schmidt_values`` as a list (lists over the states for a batch)."""
+        out = dict(zip(self._fields, self))
+        if type(self.schmidt_values) is tuple:  # one state: Python values already
+            out["schmidt_values"] = list(self.schmidt_values)
+            return out
+        return {k: v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+                for k, v in out.items()}
 
 
 def report(x: XState, side: str = "B") -> MeasureReport:

@@ -236,6 +236,13 @@ class TestFano:
             assert f.C21 == pytest.approx(0.0, abs=1e-12)
             assert f.C1 >= abs(f.C2) - 1e-12
 
+    def test_record_contract(self):
+        f = xs.FanoParams(0.1, -0.2, 0.3, 0.4, 0.5)
+        assert (f.C12, f.C21) == (0.0, 0.0)
+        assert xs.FanoParams._fields == ("A3", "B3", "C1", "C2", "C3", "C12", "C21")
+        with pytest.raises(AttributeError):
+            f.C1 = 0.0
+
     def test_infeasible_coordinates_rejected(self):
         with pytest.raises(InfeasibleState):
             xs.from_fano(xs.FanoParams(A3=0.0, B3=0.0, C1=2.0, C2=0.0, C3=0.0))

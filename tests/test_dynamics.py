@@ -411,6 +411,21 @@ class TestExpm:
         for scale in (1e-8, 1e-2, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3):
             assert self.rel_err(scale * m) <= 1e-12, scale
 
+    @pytest.mark.parametrize("scale", [100.0, 1e3])
+    @pytest.mark.parametrize("block", ["liouvillian", "x_block"])
+    def test_squarings_against_a_60_digit_reference(self, block, scale):
+        # the exponential of this generator tends to a projector; squaring
+        # expm itself lost about 1e-13 at these scales, squaring expm - I
+        # loses nothing measurable
+        mpmath = pytest.importorskip("mpmath")
+        liouvillian = xs.superoperator(rotated_zi_xi_spec())
+        m = scale * (liouvillian if block == "liouvillian" else dynamics._x_block(liouvillian))
+        with mpmath.workdps(60):
+            ref = mpmath.expm(mpmath.matrix(m.tolist()))
+            expected = np.array(ref.tolist(), dtype=complex)
+        err = np.linalg.norm(_kernels.expm(m) - expected) / np.linalg.norm(expected)
+        assert err <= 1e-14
+
     @pytest.mark.parametrize("norm", [1.0 - 1e-15, 1.0, 1.0 + 1e-15])
     def test_norms_next_to_the_taylor_span(self, norm):
         # just below and at TAYLOR_SPAN the series is summed unscaled, just

@@ -91,6 +91,37 @@ def state_bits(x) -> bytes:
 CORPUS = [fileio.dumps(fileio.state_to_obj(xs.random_xstate(9, i))) for i in range(5)]
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_mode_is_that_of_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            fileio.atomic_write(str(tmp_path / "atomic.txt"), "x\n")
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        modes = [os.stat(tmp_path / name).st_mode for name in ("atomic.txt", "plain.txt")]
+        assert modes[0] == modes[1] == 0o100666 & ~umask
+
+    def test_cli_outputs_get_the_mode_of_open(self, tmp_path):
+        out = tmp_path / "c.jsonl"
+        assert run_cli("gen", "--n", "3", "--seed", "1", "--out", str(out)) == 0
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        mode = os.stat(tmp_path / "plain.txt").st_mode
+        assert os.stat(out).st_mode == mode
+        assert os.stat(tmp_path / "c.jsonl.manifest.json").st_mode == mode
+
+    def test_failure_leaves_no_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        with pytest.raises(TypeError):
+            fileio.atomic_write(str(target), b"not text")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert target.read_text() == "old\n"
+
+
 class TestCorpusErrors:
     """A bad corpus line raises a ValueError (the CLI's exit 2) whose message
     names the line, counted from 1 with blank lines included."""

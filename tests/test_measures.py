@@ -339,6 +339,31 @@ class TestReport:
         r = xs.report(xs.validate(0.4, 0.3, 0.2, 0.1, z=0.1))
         assert r.mmm_discord is None
 
+    def test_report_is_immutable(self):
+        r = xs.report(xs.werner(0.5))
+        with pytest.raises(AttributeError):
+            r.concurrence = 0.0
+
+    def test_single_state_dict_holds_python_values(self, corpus_small):
+        for x in corpus_small[:20] + [xs.werner(0.5), xs.bell(1)]:
+            r = xs.report(x)
+            d = r.to_dict()
+            assert list(d) == [
+                "concurrence", "negativity", "fef", "fef_fidelity",
+                "schmidt_values", "schmidt_number", "geometric_discord_general",
+                "geometric_discord_paper", "approx_discord",
+                "classical_correlation", "mutual_information", "mid",
+                "mmm_discord", "side",
+            ]
+            assert d["side"] == "B"
+            values = d.pop("schmidt_values")
+            assert type(values) is list and len(values) == 4
+            assert all(type(v) is float for v in values)
+            assert all(v is None or type(v) in (float, int, str) for v in d.values())
+            values.append(1.0)  # a fresh list: the report keeps its tuple
+            assert type(r.schmidt_values) is tuple and len(r.schmidt_values) == 4
+            assert r.to_dict()["schmidt_values"] == values[:4]
+
     def test_ranges_and_serialization(self, corpus_small):
         for x in corpus_small[:100]:
             r = xs.report(x)
