@@ -26,10 +26,10 @@ POPULATION_TOL = 1e-14
 COHERENCE_TOL = 1e-12
 X_PATTERN_RTOL = 1e-10
 
-# matrix positions carrying X-state data, basis order |00>,|01>,|10>,|11>
-X_PATTERN = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1))
-X_MASK = np.zeros((4, 4), dtype=bool)
-X_MASK[tuple(zip(*X_PATTERN))] = True
+# matrix positions carrying X-state data, basis order |00>,|01>,|10>,|11>:
+# entry (i, j) is on the X pattern iff the labels i and j differ in an even
+# number of bits, the +1 eigenspace of conjugation by sigma_z (x) sigma_z
+X_MASK = np.array([[bin(i ^ j).count("1") % 2 == 0 for j in range(4)] for i in range(4)])
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,9 @@ def _hypot(x, y):
     its identity 0.0, zero entries kept.
     The products and sums are IEEE-exact and ``np.log2`` rounds an entry
     alike wherever it sits, so the bits are the batch's, signed zeros
-    included. ``x ** 2`` on a float is libm's pow, an ulp off
-    x * x on 0.1% of inputs; two squares in ``measures`` keep it for the
-    bytes of one state's report, so only there may a state and its batch
-    element differ."""
+    included. Squares are written ``x * x``: on a float ``x ** 2`` is libm's
+    pow, an ulp off on 0.1% of inputs. So a state and its batch element
+    agree bit for bit in every measure."""
     if type(x) is float and type(y) is float:
         return abs(complex(x, y))
     return np.hypot(x, y)

@@ -60,10 +60,10 @@ def pauli_tensor(mu: int, nu: int) -> np.ndarray:
 
 
 # the 16 two-qubit Pauli strings in (mu, nu) order, as vec(P) rows, and
-# which of them lie on the X pattern
+# which of them lie on the X pattern: those that flip both qubits or neither
 PAULI_STRINGS = tuple(p + q for p in PAULI_LABELS for q in PAULI_LABELS)
 _PAULI_VECS = np.array([pauli_tensor(mu, nu).reshape(16) for mu in range(4) for nu in range(4)])
-_X_PAULI = ~(_PAULI_VECS[:, ~X_VEC] != 0).any(axis=1)
+_X_PAULI = np.array([(p in "XY") == (q in "XY") for p, q in PAULI_STRINGS])
 
 
 def pauli_string_matrix(label: str) -> np.ndarray:
@@ -97,9 +97,9 @@ class GradedOperator:
 
     def offending_paulis(self) -> list:
         """Labels of Pauli components living on the off-X pattern."""
-        coeff = _PAULI_VECS.conj() @ self.off_part.reshape(16) / 4.0
         tol = 1e-12 * max(1.0, float(np.linalg.norm(self.matrix)))
-        return [PAULI_STRINGS[k] for k in np.flatnonzero(np.abs(coeff) > tol)]
+        return [PAULI_STRINGS[k]
+                for k in np.flatnonzero(~_X_PAULI & (np.abs(self.pauli.reshape(16)) > tol))]
 
 
 def grade(matrix: np.ndarray) -> GradedOperator:

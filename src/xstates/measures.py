@@ -67,7 +67,6 @@ class SchmidtSpectrum:
     for a batch of ``n``."""
 
     values: np.ndarray
-    threshold: float = SCHMIDT_THRESHOLD
 
 
 def schmidt_spectrum(x: XState) -> SchmidtSpectrum:
@@ -86,8 +85,8 @@ def _schmidt(f: FanoParams):
     Python floats for one state, an array with the values on axis 0 for a
     batch."""
     q = 1.0 + f.A3 * f.A3 + f.B3 * f.B3 + f.C3 * f.C3
-    # ``** 2`` here and in _entropies stays (see core._hypot)
-    root = _sqrt(_max(q * q - 4.0 * (f.C3 - f.A3 * f.B3) ** 2, 0.0))
+    t = f.C3 - f.A3 * f.B3
+    root = _sqrt(_max(q * q - 4.0 * (t * t), 0.0))
     s = [
         0.5 * abs(f.C1),
         0.5 * abs(f.C2),
@@ -100,16 +99,16 @@ def _schmidt(f: FanoParams):
 
 
 def schmidt_number(spectrum: SchmidtSpectrum):
-    """Count of singular values above threshold; 4 means the state can
-    drive ancilla-assisted process tomography."""
-    return _rank(spectrum.values, spectrum.threshold)
+    """Count of singular values above ``SCHMIDT_THRESHOLD``; 4 means the
+    state can drive ancilla-assisted process tomography."""
+    return _rank(spectrum.values)
 
 
-def _rank(values, threshold: float = SCHMIDT_THRESHOLD):
+def _rank(values):
     # a count over one state's tuple of Python floats, a sum along axis 0 else
     if type(values) is tuple:
-        return sum(v > threshold for v in values)
-    return (values > threshold).sum(axis=0)
+        return sum(v > SCHMIDT_THRESHOLD for v in values)
+    return (values > SCHMIDT_THRESHOLD).sum(axis=0)
 
 
 def geometric_discord_fano(f: FanoParams, side: str = "A", variant: str = "general"):
@@ -122,8 +121,7 @@ def geometric_discord_fano(f: FanoParams, side: str = "A", variant: str = "gener
     min{C1^2 + C2^2, C1^2 + C3^2 + X3^2}/4, which disagrees with the
     eigenvalue construction on part of the parameter space (see tests).
     """
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    _check_side(side)
     x3 = f.A3 if side == "A" else f.B3
     if variant == "paper":
         return 0.25 * _min(
@@ -157,7 +155,8 @@ def _entropies(m: XState, f: FanoParams, side: str) -> _Entropies:
     :func:`_moduli` with Fano coordinates ``f`` and ``side`` measured, from
     one -p log2 p pass over the zero-padded distributions (one per column)."""
     bc = m.b - m.c if side == "B" else m.c - m.b
-    root = _min(_sqrt((m.a - m.d + bc) ** 2 + 4.0 * (m.abs_z + m.abs_w) ** 2), 1.0)
+    u, v = m.a - m.d + bc, m.abs_z + m.abs_w
+    root = _min(_sqrt(u * u + 4.0 * (v * v)), 1.0)
     c = _max(_max(abs(f.C1), abs(f.C2)), abs(f.C3))
     pa, pb, zero = m.a + m.b, m.a + m.c, 0.0 * m.a
     l0, l1, l2, l3 = _block_spectrum(m.a, m.b, m.c, m.d, m.abs_z, m.abs_w)

@@ -155,6 +155,10 @@ class TestNormalizePhases:
 
 
 class TestFromMatrix:
+    def test_x_mask_is_the_eight_x_positions(self):
+        pattern = {(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)}
+        assert {(int(i), int(j)) for i, j in np.argwhere(xs.core.X_MASK)} == pattern
+
     def test_product_projector(self):
         x = xs.from_matrix(np.diag([1.0, 0, 0, 0]).astype(complex))
         assert (x.a, x.b, x.c, x.d) == (1.0, 0.0, 0.0, 0.0)

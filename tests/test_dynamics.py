@@ -119,6 +119,7 @@ class TestGrading:
             if xs.grade(pauli_string_matrix(lab)).grade is Grade.X
         }
         assert x_graded == X_STRINGS
+        assert {dynamics.PAULI_STRINGS[k] for k in np.flatnonzero(dynamics._X_PAULI)} == X_STRINGS
 
     def test_grading_closure_exhaustive(self):
         # the support split multiplies as a Z2 grading over all 16x16 products
@@ -141,6 +142,11 @@ class TestHamiltonianCheck:
         v = xs.check_hamiltonian(pauli_string_matrix("XI"))
         assert not v.preserving
         assert "XI" in v.offenders
+
+    def test_offenders_are_the_off_pattern_pauli_components(self):
+        h = (pauli_string_matrix("ZZ") + 0.5 * pauli_string_matrix("XI")
+             + 0.25 * pauli_string_matrix("YZ") + 0.125 * pauli_string_matrix("XY"))
+        assert xs.check_hamiltonian(h).offenders == ("XI", "YZ")
 
     def test_zi_preserving_with_phase_rotation(self):
         # H = sigma_z (x) I rotates z by e^{-2 i t} and keeps populations
