@@ -8,11 +8,14 @@ vec(rho) = rho.reshape(16), for which vec(A rho B) = (A (x) B^T) vec(rho)
 block of that matrix from X-pattern to off-pattern entries must vanish.
 A map that passes it moves an X state through its X <- X block alone,
 which on the eight real coordinates (a, b, c, d, Re z, Im z, Re w, Im w)
-is a real 8x8 matrix G. :func:`evolve` and :func:`esd_time` propagate
-with expm(G t); :func:`propagate` applies the full expm(L t) to a 4x4
-matrix, leakage included, for maps that need not preserve the pattern.
-Every exponential and every action of one on a vector is summed from the
-truncated Taylor series of :func:`_kernels.taylor_terms`.
+is a real 8x8 matrix G. :func:`evolve` propagates with expm(G t), taking
+its samples by doubling in log2(n) rounds of products, and
+:func:`esd_time` finds the sudden-death crossing by safeguarded Newton
+steps on the action expm(G tau) x; :func:`propagate` applies the full
+expm(L t) to a 4x4 matrix, leakage included, for maps that need not
+preserve the pattern. Every exponential and every action of one on a
+vector is summed from the truncated Taylor series of
+:func:`_kernels.taylor_terms`.
 """
 
 from __future__ import annotations
@@ -156,13 +159,14 @@ def _leak_ratio(superop: np.ndarray) -> float:
     return float(np.linalg.norm(superop[~X_VEC][:, X_VEC])) / norm if norm else 0.0
 
 
-def _leaks(superop: np.ndarray) -> tuple:
+def _leaks(superop: np.ndarray, ratio: Optional[float] = None) -> tuple:
     """The one preservation rule: a map keeps X states X shaped iff the
     block of its superoperator from X-pattern to off-pattern entries is
     zero, to ``PRESERVE_RTOL`` of the whole. Returns () for such maps and
     otherwise names the leaking Pauli transfers ``"P->Q"``, from an
-    X-pattern input P to an off-pattern output Q."""
-    if _leak_ratio(superop) <= PRESERVE_RTOL:
+    X-pattern input P to an off-pattern output Q. ``ratio`` is
+    :func:`_leak_ratio` of ``superop``, computed here if not given."""
+    if (_leak_ratio(superop) if ratio is None else ratio) <= PRESERVE_RTOL:
         return ()
     # transfer[q, p] = <Q, S(P)> / 4; the Pauli basis / 2 is orthonormal, so
     # the block keeps its norm and some entry exceeds tol / 8
@@ -284,9 +288,10 @@ def superoperator(obj) -> np.ndarray:
     return _lindblad_superoperator(obj)
 
 
-def _verdict(superop: np.ndarray, noun: str) -> Verdict:
-    """The preservation verdict on a superoperator, naming it ``noun``."""
-    leaks = _leaks(superop)
+def _verdict(superop: np.ndarray, noun: str, ratio: Optional[float] = None) -> Verdict:
+    """The preservation verdict on a superoperator, naming it ``noun``;
+    ``ratio`` as for :func:`_leaks`."""
+    leaks = _leaks(superop, ratio)
     if leaks:
         return Verdict(False, f"{noun} mixes the two support patterns", leaks)
     return Verdict(True, f"{noun} preserves the X pattern")
@@ -356,7 +361,7 @@ MAX_SAMPLES = 100_000
 TRACE_DRIFT_TOL = 1e-9
 # esd_time: a concurrence at or below ESD_TOL is dead, it must stay dead for
 # ESD_CONFIRM more samples, and the crossing gets at most ESD_ITERATIONS
-# bisection steps
+# Newton or bisection points
 ESD_TOL = 1e-12
 ESD_CONFIRM = 3
 ESD_ITERATIONS = 40
@@ -419,11 +424,13 @@ def evolve(
     """Propagate a pattern-preserving master equation from ``x0``.
 
     The generator G, the X <- X block of the Liouvillian, acts on the eight
-    real coordinates of the state. Each sample is the one before it times
-    the exact propagator expm(G dt sample_every). The run takes
-    ``round(t_max / dt)`` steps (at least one); when ``sample_every`` does
-    not divide them, the last interval is r < ``sample_every`` steps and
-    uses expm(G dt r).
+    real coordinates of the state. Sample i is hop^i x0, with the exact
+    propagator hop = expm(G dt sample_every), and the samples come by
+    doubling: the first m samples times hop^m give the next m, and hop^m is
+    squared for the next round, so n samples take about log2(n) rounds of
+    products. The run takes ``round(t_max / dt)`` steps (at least one);
+    when ``sample_every`` does not divide them, the last interval is
+    r < ``sample_every`` steps and uses expm(G dt r).
 
     Every sample is propagated first and then checked in one batched pass:
     its trace must stay within ``TRACE_DRIFT_TOL`` of one, and, normalised,
@@ -459,26 +466,37 @@ def evolve(
                 f"unknown measure {name!r}; available: {sorted(_TRAJECTORY_MEASURES)}"
             )
     liouvillian = superoperator(spec)
-    verdict = _verdict(liouvillian, "generator")
+    leakage = _leak_ratio(liouvillian)
+    verdict = _verdict(liouvillian, "generator", leakage)
     if not verdict.preserving:
         raise NotPreserving(f"{verdict.message}: {', '.join(verdict.offenders)}")
     generator = _x_block(liouvillian)
-    hop = _kernels.expm(generator * (dt * sample_every))
-    ends = [*range(sample_every, steps, sample_every), steps]
-    coords = np.empty((len(ends), 8))
+    full, rest = divmod(steps, sample_every)
+    coords = np.empty((full + (rest > 0), 8))
     x = _coords(x0)
-    for row, n in enumerate(ends):
-        if n % sample_every:  # the short last interval
-            hop = _kernels.expm(generator * (dt * (n % sample_every)))
-        x = coords[row] = hop @ x
-    times = np.array([0.0] + [n * dt for n in ends])
+    if full:
+        # row i is hop^(i+1) x; the first `done` rows times hop^done give
+        # the next ones, so the rows double in each round
+        power = _kernels.expm(generator * (dt * sample_every))
+        coords[0] = power @ x
+        done = 1
+        while done < full:
+            k = min(done, full - done)
+            coords[done : done + k] = coords[:k] @ power.T
+            done += k
+            if done < full:
+                power = power @ power
+        x = coords[full - 1]
+    if rest:  # the short last interval
+        coords[full] = _kernels.expm(generator * (dt * rest)) @ x
+    times = np.array([0.0] + [n * dt for n in (*range(sample_every, steps, sample_every), steps)])
     checked = _checked_samples(coords, times[1:])
     samples = XState(*(np.concatenate(([getattr(x0, k)], getattr(checked, k))) for k in "abcdzw"))
     return Trajectory(
         times=times,
         samples=samples,
         measures={name: _TRAJECTORY_MEASURES[name](samples) for name in record},
-        max_leakage=_leak_ratio(liouvillian),
+        max_leakage=leakage,
         spec=spec,
         dt=dt,
         sample_every=sample_every,
@@ -511,12 +529,22 @@ def _checked_samples(coords: np.ndarray, times: np.ndarray) -> XState:
     raise StepRejected(f"sample at t = {float(times[i])!r}: {reason}")
 
 
-def _concurrence_gap(x: np.ndarray) -> float:
-    # signed distance of the coordinates x to entanglement death:
-    # concurrence/2 before clipping
+def _concurrence_gap(x: np.ndarray, dx: np.ndarray) -> tuple:
+    """The signed distance of the coordinates ``x`` to entanglement death,
+    concurrence / 2 before clipping, and its derivative along ``dx``: the
+    slope of the active branch |z| - sqrt(a d) or |w| - sqrt(b c), nan
+    where that branch's modulus or root is zero."""
     a, b, c, d, zr, zi, wr, wi = x.tolist()
     a, b, c, d = max(a, 0.0), max(b, 0.0), max(c, 0.0), max(d, 0.0)
-    return max(_hypot(zr, zi) - math.sqrt(a * d), _hypot(wr, wi) - math.sqrt(b * c))
+    z_mod, z_root = _hypot(zr, zi), math.sqrt(a * d)
+    w_mod, w_root = _hypot(wr, wi), math.sqrt(b * c)
+    da, db, dc, dd, dzr, dzi, dwr, dwi = dx.tolist()
+    if z_mod - z_root >= w_mod - w_root:
+        mod, root, dmod, droot = z_mod, z_root, zr * dzr + zi * dzi, da * d + a * dd
+    else:
+        mod, root, dmod, droot = w_mod, w_root, wr * dwr + wi * dwi, db * c + b * dc
+    slope = dmod / mod - droot / (2.0 * root) if mod and root else math.nan
+    return mod - root, slope
 
 
 def _expm_action(generator: np.ndarray, x: np.ndarray, width: float):
@@ -550,13 +578,18 @@ def esd_time(traj: Trajectory) -> Optional[float]:
     """First time the concurrence dies and stays dead.
 
     Scans the sampled concurrence for the first value <= ``ESD_TOL`` that is
-    followed by ``ESD_CONFIRM`` equally dead samples, then refines the
-    crossing by bisection between that sample and the one before. The state
-    at each midpoint is the action expm(G tau) x on the coordinates x of the
+    followed by ``ESD_CONFIRM`` equally dead samples, then finds the
+    crossing between that sample and the one before by safeguarded Newton
+    steps on the concurrence gap (:func:`_concurrence_gap`). The state at
+    each point is the action expm(G tau) x on the coordinates x of the
     earlier sample, summed from Taylor terms computed once for each piece of
-    the bracket (:func:`_expm_action`), so a midpoint costs one small
-    product. Returns
-    None when the concurrence never vanishes on the horizon.
+    the bracket (:func:`_expm_action`), and its derivative is G times it.
+    Each point narrows the sign bracket; a Newton point outside the bracket,
+    or one from a zero or non-finite slope, is replaced by the bracket's
+    midpoint. The search stops when the bracket is narrower than 1e-12
+    max(1, t) or a step is below a quarter of that, after at most
+    ``ESD_ITERATIONS`` points, and returns the last point. Returns None when
+    the concurrence never vanishes on the horizon.
     """
     if "concurrence" in traj.measures:
         conc = traj.measures["concurrence"]
@@ -572,17 +605,27 @@ def esd_time(traj: Trajectory) -> Optional[float]:
     lo_t = float(traj.times[hit - 1])
     hi_t = float(traj.times[hit])
     lo_x = _coords(XState(*(getattr(traj.samples, k)[hit - 1] for k in "abcdzw")))
-    if _concurrence_gap(lo_x) <= 0.0:
+    generator = traj.generator
+    gap, slope = _concurrence_gap(lo_x, generator @ lo_x)
+    if gap <= 0.0:
         return lo_t
-    action = _expm_action(traj.generator, lo_x, hi_t - lo_t)
-    lo, hi = lo_t, hi_t
+    action = _expm_action(generator, lo_x, hi_t - lo_t)
+    lo, hi, t = lo_t, hi_t, lo_t
     resolution = 1e-12 * max(1.0, hi_t)
     for _ in range(ESD_ITERATIONS):
-        mid_t = 0.5 * (lo + hi)
-        if _concurrence_gap(action(mid_t - lo_t)) > 0.0:
-            lo = mid_t
+        step = -gap / slope if slope and math.isfinite(slope) else math.nan
+        if lo <= t + step <= hi:  # False for a NaN step
+            t += step
+            if abs(step) < 0.25 * resolution:
+                break
         else:
-            hi = mid_t
+            t = 0.5 * (lo + hi)
+        x = action(t - lo_t)
+        gap, slope = _concurrence_gap(x, generator @ x)
+        if gap > 0.0:
+            lo = t
+        else:
+            hi = t
         if hi - lo < resolution:
             break
-    return 0.5 * (lo + hi)
+    return t

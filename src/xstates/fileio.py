@@ -81,9 +81,10 @@ def dumps(obj) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to a new file beside ``path`` and rename it to ``path``,
-    so a failure leaves no partial output. The file gets the mode that
-    ``open(path, "w")`` gives under the process umask."""
+    """Write ``text`` as UTF-8 to a new file beside ``path`` and rename it to
+    ``path``, so a failure leaves no partial output. The file gets the mode
+    that ``open(path, "w")`` gives under the process umask."""
+    data = memoryview(str.encode(text))  # TypeError for anything but a str
     directory = os.path.dirname(os.path.abspath(path)) or "."
     while True:
         tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
@@ -93,8 +94,11 @@ def atomic_write(path: str, text: str) -> None:
         except FileExistsError:
             continue
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -1,6 +1,7 @@
 """Operator grading, superoperators and the preservation rule, channels,
 exact propagation, and entanglement-sudden-death detection."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -694,6 +695,43 @@ class TestEvolve:
         assert str(info.value).startswith(message)
 
 
+    # sample_every 4: no full interval, one, 8 and 16 (powers of two), 9 and
+    # 17 (one more), and 9 with a short last interval of 3 steps
+    @pytest.mark.parametrize("steps", [3, 4, 32, 36, 39, 64, 68])
+    def test_samples_by_doubling_match_sequential_products(self, steps):
+        spec = xs.LindbladSpec(
+            damping_spec(0.7, 1.3).operators, np.diag([0.7, 1.3]).astype(complex),
+            hamiltonian=pauli_string_matrix("ZZ") + 0.5 * pauli_string_matrix("XX"),
+        )
+        x0 = xs.validate(0.4, 0.3, 0.2, 0.1, z=0.2 - 0.1j, w=0.15 + 0.05j)
+        dt, every = 0.01, 4
+        traj = xs.evolve(spec, x0, dt=dt, t_max=steps * dt, sample_every=every, record=())
+        hop = _kernels.expm(traj.generator * (dt * every))
+        x = dynamics._coords(x0)
+        expected = [x]
+        for _ in range(steps // every):
+            x = hop @ x
+            expected.append(x)
+        if steps % every:
+            expected.append(_kernels.expm(traj.generator * (dt * (steps % every))) @ x)
+        assert len(traj.states) == len(expected) == 1 - (-steps // every)
+        assert traj.times[-1] == pytest.approx(steps * dt, abs=1e-15)
+        for state, row in zip(traj.states, expected):
+            assert np.linalg.norm(dynamics._coords(state) - row) <= 1e-14 * np.linalg.norm(row)
+
+    @pytest.mark.parametrize("drift, rejected", [(1e-8, True), (1e-10, False)])
+    def test_trace_drift_bound(self, drift, rejected):
+        # TRACE_DRIFT_TOL = 1e-9 lies between the two drifts
+        x = dynamics._coords(xs.bell(0))
+        x[0] += drift
+        if rejected:
+            with pytest.raises(StepRejected, match="trace drifted to 1.00000001"):
+                dynamics._checked_samples(np.array([x]), np.array([0.1]))
+        else:
+            states = dynamics._checked_samples(np.array([x]), np.array([0.1]))
+            assert states.a[0] + states.d[0] == pytest.approx(1.0, abs=1e-15)
+
+
 class TestXBlock:
     """The real 8x8 generator G that evolve propagates with."""
 
@@ -732,17 +770,67 @@ class TestXBlock:
 
     @pytest.mark.parametrize("name", ["DAMPED_WERNER", "ROTATED_DEPHASING"])
     def test_samples_match_projected_full_propagation(self, tmp_path, name):
-        import test_output_bytes
-
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(getattr(test_output_bytes, name)))
-        cfg = fileio.load_dynamics_config(str(path))
-        traj = xs.evolve(cfg["spec"], cfg["initial_state"], cfg["dt"], cfg["t_max"],
-                         cfg["sample_every"], record=())
-        rho0 = cfg["initial_state"].to_matrix()
+        traj = golden_trajectory(tmp_path, name)
+        rho0 = traj.states[0].to_matrix()
         for t, sample in zip(traj.times, traj.states):
-            full, _ = xs.propagate(cfg["spec"], rho0, cfg["dt"], round(t / cfg["dt"]))
+            full, _ = xs.propagate(traj.spec, rho0, traj.dt, round(t / traj.dt))
             assert np.abs(sample.to_matrix() - np.where(X_MASK, full, 0.0)).max() <= 1e-13
+
+
+def frozen_esd_trajectory(eps, g_a, g_b, j, dt, every) -> xs.Trajectory:
+    """The run of one FROZEN_ESD entry: a Werner state under amplitude damping
+    at rates g_a, g_b and the Hamiltonian j (XX + YY) + ZZ / 2, if j."""
+    ham = None
+    if j:
+        ham = j * (pauli_string_matrix("XX") + pauli_string_matrix("YY"))
+        ham = ham + 0.5 * pauli_string_matrix("ZZ")
+    spec = xs.LindbladSpec(damping_spec().operators, np.diag([g_a, g_b]).astype(complex), ham)
+    return xs.evolve(spec, xs.werner(eps), dt=dt, t_max=3.0, sample_every=every)
+
+
+def golden_trajectory(tmp_path, name: str) -> xs.Trajectory:
+    """The run of one golden ``evolve`` config of test_output_bytes."""
+    import test_output_bytes
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(getattr(test_output_bytes, name)))
+    cfg = fileio.load_dynamics_config(str(path))
+    return xs.evolve(cfg["spec"], cfg["initial_state"], cfg["dt"], cfg["t_max"],
+                     cfg["sample_every"], record=cfg["measures"])
+
+
+# (eps, gamma_a, gamma_b, j, dt, sample_every, esd_time). The values were
+# first made by bisection with a fresh expm(G tau) at each midpoint, and all
+# 24 were re-recorded when samples came by doubling and the crossing by
+# safeguarded Newton on the Taylor action: they moved by at most 1.04e-12
+# relative, within the search's resolution of 1e-12 * t. With that
+# resolution at 1e-9 * t, 7 of them change
+FROZEN_ESD = [
+    (0.5, 0.6, 0.5, 0.0, 0.001, 10, 0.36984660211351905),
+    (0.52, 0.7, 0.65, 0.0, 0.01, 3, 0.34060083629222426),
+    (0.54, 0.8, 0.8, 0.0, 0.005, 7, 0.3219775158528675),
+    (0.56, 0.9, 0.95, 0.0, 0.001, 10, 0.3095854550282586),
+    (0.58, 1.0, 1.1, 0.0, 0.01, 3, 0.30121902220261865),
+    (0.6, 0.6, 1.25, 0.0, 0.005, 7, 0.4046135143848842),
+    (0.62, 0.7, 1.4, 0.0, 0.001, 10, 0.3875868195033614),
+    (0.64, 0.8, 0.5, 0.0, 0.01, 3, 0.6560530277484689),
+    (0.66, 0.9, 0.65, 0.0, 0.005, 7, 0.5861815962004939),
+    (0.6799999999999999, 1.0, 0.8, 0.0, 0.001, 10, 0.5409115338341083),
+    (0.7, 0.6, 0.95, 0.0, 0.01, 3, 0.6988012706306195),
+    (0.72, 0.7, 1.1, 0.0, 0.005, 7, 0.6487270316967035),
+    (0.74, 0.8, 1.25, 0.25, 0.001, 10, 0.6042383851879295),
+    (0.76, 0.9, 1.4, 0.5, 0.01, 3, 0.5612486294624278),
+    (0.78, 1.0, 0.5, 0.75, 0.005, 7, 0.8157339029165143),
+    (0.8, 0.6, 0.65, 1.0, 0.001, 10, 1.2030857838924736),
+    (0.8200000000000001, 0.7, 0.8, 1.25, 0.01, 3, 1.080323504680412),
+    (0.8400000000000001, 0.8, 0.95, 1.5, 0.005, 7, 0.9995580134600954),
+    (0.86, 0.9, 1.1, 1.75, 0.001, 10, 0.9467928636435666),
+    (0.88, 1.0, 1.25, 2.0, 0.01, 3, 0.9145941910396639),
+    (0.9, 0.6, 1.4, 2.25, 0.005, 7, 1.0517453810616524),
+    (0.9199999999999999, 0.7, 0.5, 2.5, 0.001, 10, 2.067676466852132),
+    (0.94, 0.8, 0.65, 2.75, 0.01, 3, 1.9165444034145485),
+    (0.96, 0.9, 0.8, 3.0, 0.005, 7, 1.8798447885976377),
+]
 
 
 class TestEsd:
@@ -788,74 +876,70 @@ class TestEsd:
             ham = sum(c * pauli_string_matrix(p) for p, c in hamiltonian.items())
         spec = xs.LindbladSpec(damping_spec().operators, np.diag(rates).astype(complex), ham)
         traj = xs.evolve(spec, xs.werner(0.95), dt=dt, t_max=3.0, sample_every=every)
-        seen = []
+        built = []
         action = dynamics._expm_action
 
         def recording(generator, x, width):
             evaluate = action(generator, x, width)
-            span = np.abs(generator).sum(axis=0).max() * width
-
-            def at(tau):
-                out = evaluate(tau)
-                seen.append((generator, x, span, tau, out))
-                return out
-
-            return at
+            built.append((generator, x, width, evaluate))
+            return evaluate
 
         monkeypatch.setattr(dynamics, "_expm_action", recording)
         assert xs.esd_time(traj) is not None
-        assert len(seen) > 30 and seen[0][2] > min_span
+        (generator, x, width, evaluate), = built
+        norm = np.abs(generator).sum(axis=0).max()
+        assert norm * width > min_span
+        # at least two points in every piece, both ends of the bracket included
+        pieces = max(1, math.ceil(norm * width / _kernels.TAYLOR_SPAN))
+        taus = np.linspace(0.0, width, max(32, 2 * pieces + 1))
+        step = width / pieces
+        assert {min(int(tau / step), pieces - 1) for tau in taus} == set(range(pieces))
         from scipy.linalg import expm  # test-only reference
 
-        for generator, x, _, tau, out in seen:
+        for tau in taus:
             exact = expm(generator * tau) @ x
-            assert np.linalg.norm(out - exact) <= 1e-14 * np.linalg.norm(exact)
+            assert np.linalg.norm(evaluate(tau) - exact) <= 1e-14 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("case", list(range(len(FROZEN_ESD))) + ["ROTATED_DEPHASING"])
+    def test_matches_an_independent_root(self, tmp_path, case):
+        from scipy.linalg import expm  # test-only reference
+        from scipy.optimize import brentq
+
+        if case == "ROTATED_DEPHASING":
+            traj = golden_trajectory(tmp_path, case)
+        else:
+            traj = frozen_esd_trajectory(*FROZEN_ESD[case][:-1])
+        got = xs.esd_time(traj)
+        dead = traj.measures["concurrence"] <= dynamics.ESD_TOL
+        hit = next(i for i in range(len(dead)) if dead[i : i + 1 + dynamics.ESD_CONFIRM].all())
+        lo_t, hi_t = traj.times[hit - 1], traj.times[hit]
+        s = traj.states[hit - 1]
+        x = np.array([s.a, s.b, s.c, s.d, s.z.real, s.z.imag, s.w.real, s.w.imag])
+
+        def gap(tau):
+            a, b, c, d, zr, zi, wr, wi = expm(traj.generator * tau) @ x
+            a, b, c, d = (max(v, 0.0) for v in (a, b, c, d))
+            return max(math.hypot(zr, zi) - math.sqrt(a * d), math.hypot(wr, wi) - math.sqrt(b * c))
+
+        root = lo_t + brentq(gap, 0.0, hi_t - lo_t, xtol=1e-15)
+        assert abs(got - root) <= 1e-12 * max(1.0, root)
+
+    def test_a_dead_stretch_that_revives_is_no_death(self):
+        # three dead samples, one short of the 1 + ESD_CONFIRM that confirm a
+        # death, and alive again after them
+        never = xs.evolve(xs.LindbladSpec.from_rates([pauli_string_matrix("ZI")], [1.0]),
+                          xs.bell(0), dt=1e-3, t_max=1.0, sample_every=100)
+        dies = frozen_esd_trajectory(*FROZEN_ESD[0][:-1])
+        for traj, expected in ((never, None), (dies, FROZEN_ESD[0][-1])):
+            conc = traj.measures["concurrence"].copy()
+            assert (conc[1:6] > 0.0).all()
+            conc[2:5] = 0.0
+            faked = dataclasses.replace(traj, measures={"concurrence": conc})
+            assert xs.esd_time(faked) == expected
 
     def test_damped_werner_matches_frozen_values(self):
-        # esd_time of the propagation with a fresh expm(G tau) at each
-        # bisection midpoint, on damped Werner states without and with an
-        # X-shaped Hamiltonian j (XX + YY) + ZZ / 2: the Taylor action must
-        # take the same bisection steps to the same bits
-        for eps, g_a, g_b, j, dt, every, expected in FROZEN_ESD:
-            ham = None
-            if j:
-                ham = j * (pauli_string_matrix("XX") + pauli_string_matrix("YY"))
-                ham = ham + 0.5 * pauli_string_matrix("ZZ")
-            spec = xs.LindbladSpec(damping_spec().operators,
-                                   np.diag([g_a, g_b]).astype(complex), ham)
-            traj = xs.evolve(spec, xs.werner(eps), dt=dt, t_max=3.0, sample_every=every)
-            assert xs.esd_time(traj) == expected, (eps, g_a, g_b, j, dt, every)
-
-
-# (eps, gamma_a, gamma_b, j, dt, sample_every, esd_time), made with the
-# expm-per-midpoint bisection; the eps = 0.92 entry was re-derived so when
-# evolve moved from the 16x16 Liouvillian to G, and moved by 1.2e-12, below
-# the bisection's resolution of 1e-12 * t. The eps = 0.86, 0.92 and 0.96
-# entries were re-derived so when expm moved from a Pade approximant to the
-# Taylor series, and moved by 5.8e-13, 1.2e-12 and 1.0e-12
-FROZEN_ESD = [
-    (0.5, 0.6, 0.5, 0.0, 0.001, 10, 0.36984660211339354),
-    (0.52, 0.7, 0.65, 0.0, 0.01, 3, 0.34060083629257865),
-    (0.54, 0.8, 0.8, 0.0, 0.005, 7, 0.32197751585288636),
-    (0.56, 0.9, 0.95, 0.0, 0.001, 10, 0.3095854550282821),
-    (0.58, 1.0, 1.1, 0.0, 0.01, 3, 0.30121902220256735),
-    (0.6, 0.6, 1.25, 0.0, 0.005, 7, 0.40461351438487314),
-    (0.62, 0.7, 1.4, 0.0, 0.001, 10, 0.38758681950363094),
-    (0.64, 0.8, 0.5, 0.0, 0.01, 3, 0.6560530277485668),
-    (0.66, 0.9, 0.65, 0.0, 0.005, 7, 0.5861815962005859),
-    (0.6799999999999999, 1.0, 0.8, 0.0, 0.001, 10, 0.5409115338340054),
-    (0.7, 0.6, 0.95, 0.0, 0.01, 3, 0.6988012706306472),
-    (0.72, 0.7, 1.1, 0.0, 0.005, 7, 0.6487270316965803),
-    (0.74, 0.8, 1.25, 0.25, 0.001, 10, 0.6042383851882189),
-    (0.76, 0.9, 1.4, 0.5, 0.01, 3, 0.5612486294626433),
-    (0.78, 1.0, 0.5, 0.75, 0.005, 7, 0.8157339029167268),
-    (0.8, 0.6, 0.65, 1.0, 0.001, 10, 1.2030857838928934),
-    (0.8200000000000001, 0.7, 0.8, 1.25, 0.01, 3, 1.0803235046802735),
-    (0.8400000000000001, 0.8, 0.95, 1.5, 0.005, 7, 0.9995580134599369),
-    (0.86, 0.9, 1.1, 1.75, 0.001, 10, 0.9467928636437863),
-    (0.88, 1.0, 1.25, 2.0, 0.01, 3, 0.9145941910393593),
-    (0.9, 0.6, 1.4, 2.25, 0.005, 7, 1.0517453810619917),
-    (0.9199999999999999, 0.7, 0.5, 2.5, 0.001, 10, 2.0676764668518444),
-    (0.94, 0.8, 0.65, 2.75, 0.01, 3, 1.9165444034148824),
-    (0.96, 0.9, 0.8, 3.0, 0.005, 7, 1.879844788598057),
-]
+        # esd_time on damped Werner states without and with an X-shaped
+        # Hamiltonian j (XX + YY) + ZZ / 2: the samples and the Newton points
+        # on the Taylor action must reach the same bits
+        for *config, expected in FROZEN_ESD:
+            assert xs.esd_time(frozen_esd_trajectory(*config)) == expected, config

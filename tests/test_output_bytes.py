@@ -32,8 +32,8 @@ EDGE_REPORT_DIGESTS = {
     "B": "7e841494823ef08124f8dd5314706df37fe728fb1fe0387176d9b3cab3c1851f",
 }
 CAMPAIGN_DIGEST = "41e0145501e77c02dd264072e5011c5214837abf4ca9bc44649f66064a43f378"
-EVOLVE_DIGEST = "4829451405cb34f4dd3e596b17922c7883ce7552d6549cf8b00fc8ac230fff55"
-EVOLVE_ROTATED_DIGEST = "b2f7cc9b685c5b0e9cb20a68b9a9682cf6ca2dd658b62b6f669f70978a7809c2"
+EVOLVE_DIGEST = "8d2b4ac1b8f931e93ba13c3cb8ca3a0fdac1e4f26444c842f79c4881027c57ec"
+EVOLVE_ROTATED_DIGEST = "7dfcb3540d80033c84e9fc8ddca48734377c0e50de0468107801dfa46f0f3f4e"
 
 _DURATION = re.compile(rb'"duration_s": [^,}]+')
 
