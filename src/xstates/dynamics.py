@@ -159,14 +159,13 @@ def _leak_ratio(superop: np.ndarray) -> float:
     return float(np.linalg.norm(superop[~X_VEC][:, X_VEC])) / norm if norm else 0.0
 
 
-def _leaks(superop: np.ndarray, ratio: Optional[float] = None) -> tuple:
+def _leaks(superop: np.ndarray) -> tuple:
     """The one preservation rule: a map keeps X states X shaped iff the
     block of its superoperator from X-pattern to off-pattern entries is
     zero, to ``PRESERVE_RTOL`` of the whole. Returns () for such maps and
     otherwise names the leaking Pauli transfers ``"P->Q"``, from an
-    X-pattern input P to an off-pattern output Q. ``ratio`` is
-    :func:`_leak_ratio` of ``superop``, computed here if not given."""
-    if (_leak_ratio(superop) if ratio is None else ratio) <= PRESERVE_RTOL:
+    X-pattern input P to an off-pattern output Q."""
+    if _leak_ratio(superop) <= PRESERVE_RTOL:
         return ()
     # transfer[q, p] = <Q, S(P)> / 4; the Pauli basis / 2 is orthonormal, so
     # the block keeps its norm and some entry exceeds tol / 8
@@ -288,10 +287,9 @@ def superoperator(obj) -> np.ndarray:
     return _lindblad_superoperator(obj)
 
 
-def _verdict(superop: np.ndarray, noun: str, ratio: Optional[float] = None) -> Verdict:
-    """The preservation verdict on a superoperator, naming it ``noun``;
-    ``ratio`` as for :func:`_leaks`."""
-    leaks = _leaks(superop, ratio)
+def _verdict(superop: np.ndarray, noun: str) -> Verdict:
+    """The preservation verdict on a superoperator, naming it ``noun``."""
+    leaks = _leaks(superop)
     if leaks:
         return Verdict(False, f"{noun} mixes the two support patterns", leaks)
     return Verdict(True, f"{noun} preserves the X pattern")
@@ -467,8 +465,8 @@ def evolve(
             )
     liouvillian = superoperator(spec)
     leakage = _leak_ratio(liouvillian)
-    verdict = _verdict(liouvillian, "generator", leakage)
-    if not verdict.preserving:
+    if leakage > PRESERVE_RTOL:  # _verdict names the leaking transfers
+        verdict = _verdict(liouvillian, "generator")
         raise NotPreserving(f"{verdict.message}: {', '.join(verdict.offenders)}")
     generator = _x_block(liouvillian)
     full, rest = divmod(steps, sample_every)
