@@ -4,6 +4,27 @@ second copy of the package.
     python3 benchmarks/stages.py --workload corpus --repeats 40
     python3 benchmarks/stages.py --workload dynamics --repeats 40 --baseline /path/to/other/src
 
+``--repeats`` must be at least 2, since the quartiles need two values.
+
+``--workload campaign`` runs ``approx_error_campaign(10000, seed=1,
+grid=64)``, the ``validate-approx --n 10000`` campaign, once per repeat, in
+ms per 1000 states. The stages are:
+
+* ``sampling``: ``random_xstates``;
+* ``scan``: the first conditional-entropy evaluation of each minimisation,
+  the scan of every state over the grid;
+* ``keeps_endpoint``: the endpoint test that decides which states are
+  rescanned;
+* ``rescans``: the later evaluations, the rescans of those states;
+* ``state_entropies``: ``_state_entropies``, whose calls are counted under
+  ``calls``;
+* ``approx_discord``: the time of ``approx_discord`` outside its state
+  entropies;
+* ``oracle``: the time of ``discord_oracle`` outside its other stages: the
+  minimisation's own glue and the correlations;
+* ``stats``: the time of ``approx_error_campaign`` outside its other
+  stages: the errors and their statistics.
+
 ``--workload corpus`` runs the stages of the ``corpus`` benchmark workload
 once per repeat on the 1000 states of seed 1, in ms per 1000 states:
 
@@ -17,10 +38,7 @@ once per repeat on the 1000 states of seed 1, in ms per 1000 states:
 ``--workload dynamics`` runs ``xstates evolve`` through ``cli.main`` once per
 repeat on each of the ``dynamics`` workload's three kinds of config (the
 README's Bell state under ZI dephasing, which never dies, and two damped
-Werner states, which die), in us per evolve run. The package's functions
-are wrapped by timers, and a call is timed as its own stage only when made
-from ``cli.main`` or ``evolve`` themselves; a nested call counts in the
-stage that made it. The stages are:
+Werner states, which die), in us per evolve run. The stages are:
 
 * ``config_load``: ``fileio.load_dynamics_config``;
 * ``superoperator_verdict``: the Liouvillian, its leak ratio and the
@@ -37,7 +55,15 @@ stage that made it. The stages are:
 * ``cli``: the time of ``cli.main`` outside its other stages: argument
   parsing and the manifest.
 
-The timers add about a microsecond per wrapped call, to both copies alike.
+For ``campaign`` and ``dynamics`` the package's functions are wrapped by
+timers, and a call is timed as its own stage only when made from outside
+every stage or from a container stage (``stats``, ``oracle`` and
+``approx_discord``; ``cli`` and ``sample_loop``); a nested call counts in
+the stage that made it. A wrapped function is found by name in the module
+that defines it; in a copy that still has the ``_kernels`` module, where the
+oracle's minimisation and the matrix exponential once lived, it is found
+there. The timers add about a microsecond per wrapped call, to both copies
+alike.
 
 ``xstates`` is imported from the ``src`` directory of this file's checkout.
 ``--baseline`` imports a second copy of the package from another source
@@ -47,9 +73,9 @@ on both alike, and their times in one repeat make a pair. Two untimed
 repeats come first.
 
 The last line printed is one JSON object: per copy and stage the median and
-quartiles over the repeats, and the sha256 of the output files (equal
+quartiles over the repeats, the sha256 of the output files (equal
 digests mean equal output bytes; a manifest's ``duration_s`` and the
-run's directory are blanked);
+run's directory are blanked) and any call counts of one repeat;
 with a baseline, per stage the median over pairs of this checkout's time
 over the baseline's, and the number of pairs this checkout won; and the
 environment. The timings are the wall time of one single-threaded process.
@@ -84,13 +110,34 @@ def import_package(src: Path) -> SimpleNamespace:
     sys.path.insert(0, str(src))
     try:
         modules = {name: importlib.import_module(f"xstates.{name}")
-                   for name in ("cli", "dynamics", "_kernels", "fileio")}
+                   for name in ("cli", "dynamics", "fileio", "measures", "oracle")}
+        try:
+            modules["_kernels"] = importlib.import_module("xstates._kernels")
+        except ModuleNotFoundError:
+            modules["_kernels"] = None
         package = importlib.import_module("xstates")
     finally:
         sys.path.remove(str(src))
         for name in [m for m in sys.modules if m == "xstates" or m.startswith("xstates.")]:
             del sys.modules[name]
     return SimpleNamespace(xs=package, src=str(src), **modules)
+
+
+# the names that functions had in ``_kernels``, where they differ
+_KERNEL_NAMES = {"_expm": "expm"}
+
+
+def function_home(pkg, module: str, name: str) -> tuple:
+    """(module object, attribute) through which the package calls its
+    function ``name`` of ``module``: that module itself, or ``_kernels`` in
+    a copy that still holds the function there."""
+    home = getattr(pkg, module)
+    if hasattr(home, name):
+        return home, name
+    kernels, legacy = pkg._kernels, _KERNEL_NAMES.get(name, name)
+    if kernels is not None and hasattr(kernels, legacy):
+        return kernels, legacy
+    raise SystemExit(f"{pkg.src}: xstates.{module} has no {name}")
 
 
 class Corpus:
@@ -145,53 +192,18 @@ def _werner(eps: float) -> dict:
             "w": {"re": eps / 2, "im": 0.0}}
 
 
-class Dynamics:
-    """The stages of ``xstates evolve`` on the ``dynamics`` workload's
-    kinds of config, through ``cli.main``."""
+class Timed:
+    """A workload whose stages are timed by wrapping the package's
+    functions. ``CONTAINERS`` are the stages whose direct calls get stages
+    of their own; ``calls`` counts calls of one repeat."""
 
-    STAGES = ("config_load", "superoperator_verdict", "x_block_expm", "sample_loop",
-              "checked_samples", "measures", "esd_time", "csv", "writes", "cli")
-    UNIT = "us per evolve run"
-    SEED = None
-    RUN = {"dt": 1e-3, "sample_every": 10, "measures": ["concurrence", "negativity"]}
-    CONFIGS = {
-        "readme": {"initial_state": {"a": 0.5, "b": 0.0, "c": 0.0, "d": 0.5, "w": 0.5},
-                   "operators": ["ZI"], "rates": [1.0], "t_max": 1.0},
-        "damping0": {"initial_state": _werner(0.6), "operators": [_lowering(0), _lowering(1)],
-                     "rates": [1.2, 1.2], "t_max": 1.2},
-        "damping1": {"initial_state": _werner(0.8), "operators": [_lowering(0), _lowering(1)],
-                     "rates": [1.4, 1.4], "t_max": 1.2},
-    }
-    N = len(CONFIGS)
-    SCALE = 1e6 / N
-    # calls made directly from these get stages of their own
-    CONTAINERS = ("cli", "sample_loop")
+    CONTAINERS = ()
 
     def __init__(self, pkg, work: str):
         self.pkg, self.work = pkg, work
         self.seconds = dict.fromkeys(self.STAGES, 0.0)
         self.open = []  # [stage, seconds spent in timed calls below it]
-        for name, cfg in self.CONFIGS.items():
-            Path(work, f"{name}.json").write_text(json.dumps({**cfg, **self.RUN}))
-        cli, dynamics, kernels, fileio = pkg.cli, pkg.dynamics, pkg._kernels, pkg.fileio
-        self.main = self._timed(cli.main, "cli")
-        cli.evolve = self._timed(cli.evolve, "sample_loop")
-        cli.esd_time = self._timed(cli.esd_time, "esd_time")
-        for module, name, stage in (
-            (fileio, "load_dynamics_config", "config_load"),
-            (dynamics, "superoperator", "superoperator_verdict"),
-            (dynamics, "_leak_ratio", "superoperator_verdict"),
-            (dynamics, "_verdict", "superoperator_verdict"),
-            (dynamics, "_x_block", "x_block_expm"),
-            (kernels, "expm", "x_block_expm"),
-            (dynamics, "_checked_samples", "checked_samples"),
-            (fileio, "trajectory_to_csv", "csv"),
-            (fileio, "atomic_write", "writes"),
-        ):
-            setattr(module, name, self._timed(getattr(module, name), stage))
-        table = dynamics._TRAJECTORY_MEASURES
-        for name in table:
-            table[name] = self._timed(table[name], "measures")
+        self.calls = {}
 
     def _timed(self, fn, stage: str):
         """``fn``, adding its time to ``stage`` when it is called from a
@@ -216,10 +228,118 @@ class Dynamics:
 
         return timed
 
-    def run_once(self) -> tuple:
-        """One evolve run per config: (seconds per stage, {output: bytes})."""
+    def _wrap(self, module, name: str, stage: str) -> None:
+        setattr(module, name, self._timed(getattr(module, name), stage))
+
+    def _reset(self) -> None:
         for stage in self.seconds:
             self.seconds[stage] = 0.0
+        for name in self.calls:
+            self.calls[name] = 0
+
+
+class Campaign(Timed):
+    """The stages of ``approx_error_campaign``: the ``campaign`` workload's
+    route at ``validate-approx --n 10000 --grid 64``."""
+
+    STAGES = ("sampling", "scan", "keeps_endpoint", "rescans", "state_entropies",
+              "approx_discord", "oracle", "stats")
+    UNIT = "ms per 1000 states"
+    N, SEED, GRID = 10000, 1, 64
+    SCALE = 1e6 / N
+    CONTAINERS = ("stats", "oracle", "approx_discord")
+
+    def __init__(self, pkg, work: str):
+        super().__init__(pkg, work)
+        oracle, measures = pkg.oracle, pkg.measures
+        self.campaign = self._timed(oracle.approx_error_campaign, "stats")
+        self._wrap(oracle, "random_xstates", "sampling")
+        self._wrap(oracle, "approx_discord", "approx_discord")
+        self._wrap(*function_home(pkg, "oracle", "_keeps_endpoint"), "keeps_endpoint")
+        # a minimisation's first evaluation is its scan, the later ones rescans
+        first = [True]
+        discord_oracle = self._timed(oracle.discord_oracle, "oracle")
+
+        def fresh_minimisation(*args, **kwargs):
+            first[0] = True
+            return discord_oracle(*args, **kwargs)
+
+        oracle.discord_oracle = fresh_minimisation
+        home, name = function_home(pkg, "oracle", "_conditional_entropy_sums")
+        scan = self._timed(getattr(home, name), "scan")
+        rescan = self._timed(getattr(home, name), "rescans")
+
+        def scan_or_rescan(*args):
+            is_scan, first[0] = first[0], False
+            return (scan if is_scan else rescan)(*args)
+
+        setattr(home, name, scan_or_rescan)
+        # the oracle and approx_discord each call it through their own module
+        entropies = self._timed(measures._state_entropies, "state_entropies")
+        self.calls["state_entropies"] = 0
+
+        def counted(*args, **kwargs):
+            self.calls["state_entropies"] += 1
+            return entropies(*args, **kwargs)
+
+        oracle._state_entropies = measures._state_entropies = counted
+
+    def run_once(self) -> tuple:
+        """One campaign: (seconds per stage, {output: bytes})."""
+        self._reset()
+        stats = self.campaign(self.N, seed=self.SEED, grid=self.GRID)
+        stats_json = self.pkg.fileio.dumps(stats.to_dict()).encode()
+        return tuple(self.seconds[stage] for stage in self.STAGES), {"stats": stats_json}
+
+
+class Dynamics(Timed):
+    """The stages of ``xstates evolve`` on the ``dynamics`` workload's
+    kinds of config, through ``cli.main``."""
+
+    STAGES = ("config_load", "superoperator_verdict", "x_block_expm", "sample_loop",
+              "checked_samples", "measures", "esd_time", "csv", "writes", "cli")
+    UNIT = "us per evolve run"
+    SEED = None
+    RUN = {"dt": 1e-3, "sample_every": 10, "measures": ["concurrence", "negativity"]}
+    CONFIGS = {
+        "readme": {"initial_state": {"a": 0.5, "b": 0.0, "c": 0.0, "d": 0.5, "w": 0.5},
+                   "operators": ["ZI"], "rates": [1.0], "t_max": 1.0},
+        "damping0": {"initial_state": _werner(0.6), "operators": [_lowering(0), _lowering(1)],
+                     "rates": [1.2, 1.2], "t_max": 1.2},
+        "damping1": {"initial_state": _werner(0.8), "operators": [_lowering(0), _lowering(1)],
+                     "rates": [1.4, 1.4], "t_max": 1.2},
+    }
+    N = len(CONFIGS)
+    SCALE = 1e6 / N
+    CONTAINERS = ("cli", "sample_loop")
+
+    def __init__(self, pkg, work: str):
+        super().__init__(pkg, work)
+        for name, cfg in self.CONFIGS.items():
+            Path(work, f"{name}.json").write_text(json.dumps({**cfg, **self.RUN}))
+        cli, dynamics, fileio = pkg.cli, pkg.dynamics, pkg.fileio
+        self.main = self._timed(cli.main, "cli")
+        self._wrap(cli, "evolve", "sample_loop")
+        self._wrap(cli, "esd_time", "esd_time")
+        for module, name, stage in (
+            (fileio, "load_dynamics_config", "config_load"),
+            (dynamics, "superoperator", "superoperator_verdict"),
+            (dynamics, "_leak_ratio", "superoperator_verdict"),
+            (dynamics, "_verdict", "superoperator_verdict"),
+            (dynamics, "_x_block", "x_block_expm"),
+            (*function_home(pkg, "dynamics", "_expm"), "x_block_expm"),
+            (dynamics, "_checked_samples", "checked_samples"),
+            (fileio, "trajectory_to_csv", "csv"),
+            (fileio, "atomic_write", "writes"),
+        ):
+            self._wrap(module, name, stage)
+        table = dynamics._TRAJECTORY_MEASURES
+        for name in table:
+            table[name] = self._timed(table[name], "measures")
+
+    def run_once(self) -> tuple:
+        """One evolve run per config: (seconds per stage, {output: bytes})."""
+        self._reset()
         outputs = {}
         for name in self.CONFIGS:
             out = os.path.join(self.work, f"{name}.csv")
@@ -235,7 +355,7 @@ class Dynamics:
         return tuple(self.seconds[stage] for stage in self.STAGES), outputs
 
 
-WORKLOADS = {"corpus": Corpus, "dynamics": Dynamics}
+WORKLOADS = {"campaign": Campaign, "corpus": Corpus, "dynamics": Dynamics}
 
 
 def quartiles(values: list) -> dict:
@@ -250,6 +370,8 @@ def main(argv=None) -> dict:
     parser.add_argument("--baseline", type=Path, default=None,
                         help="source directory of a second xstates to interleave with")
     args = parser.parse_args(argv)
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2")
     workload = WORKLOADS[args.workload]
     sources = {"this": Path(__file__).resolve().parent.parent / "src"}
     if args.baseline is not None:
@@ -282,6 +404,8 @@ def main(argv=None) -> dict:
             "total": quartiles(totals),
             "digests": dict(output_digests),
         }
+        if getattr(routes[name], "calls", None):
+            runs[name]["calls"] = dict(routes[name].calls)
     result = {"workload": args.workload, "unit": workload.UNIT, "n": workload.N,
               "seed": workload.SEED, "repeats": args.repeats, "runs": runs}
     if "baseline" in sources:

@@ -89,12 +89,11 @@ def _write_manifest(args, started, extra=None, error=None):
 
 def _cmd_measures(args, started) -> int:
     rep = report(fileio.load_state(args.infile), side=args.side).to_dict()
+    text = fileio.dumps(rep) + "\n" if args.format == "json" else fileio.report_to_csv(rep)
     if not args.out:
-        sys.stdout.write(
-            fileio.dumps(rep) + "\n" if args.format == "json" else fileio.report_to_csv(rep)
-        )
+        sys.stdout.write(text)
         return EXIT_OK
-    fileio.save_report(args.out, rep, fmt=args.format)
+    fileio.atomic_write(args.out, text)
     _write_manifest(args, started, extra={"side": args.side})
     return EXIT_OK
 

@@ -13,9 +13,9 @@ its samples by doubling in log2(n) rounds of products, and
 :func:`esd_time` finds the sudden-death crossing by safeguarded Newton
 steps on the action expm(G tau) x; :func:`propagate` applies the full
 expm(L t) to a 4x4 matrix, leakage included, for maps that need not
-preserve the pattern. Every exponential and every action of one on a
-vector is summed from the truncated Taylor series of
-:func:`_kernels.taylor_terms`.
+preserve the pattern. :func:`_expm` sums each exponential, and
+:func:`_expm_action` each action of one on a vector, from the truncated
+Taylor series of :func:`_taylor_terms`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels, measures, spectral
+from . import measures, spectral
 from .core import X_MASK, XState, _hypot, unstack, validate
 from .errors import (
     CompletenessViolated,
@@ -322,6 +322,64 @@ def off_pattern_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.where(X_MASK, 0.0, np.asarray(m))))
 
 
+# _expm sums the series of a matrix scaled to at most this 1-norm, and
+# _expm_action cuts its bracket into pieces of at most this much ||G||_1 tau
+TAYLOR_SPAN = 1.0
+
+
+def _taylor_terms(a: np.ndarray, v: np.ndarray, norm: float) -> np.ndarray:
+    """The terms a^k v / k!, k = 0, 1, ..., of the series of expm(a) v,
+    stacked on axis 0; ``v`` is a vector or a matrix.
+
+    ``norm`` bounds the 1-norm of ``a``, so norm^k / k! bounds the k-th term
+    relative to v. Terms are kept while that bound is at least 2^-53, the
+    first one below it ends the series (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)).
+    """
+    count, bound = 1, norm  # terms kept, and the bound of the next one
+    while bound >= 2.0**-53:
+        count += 1
+        bound *= norm / count
+    terms = np.empty((count,) + np.shape(v), dtype=np.result_type(a, v))
+    terms[0] = v
+    for k in range(1, count):
+        np.matmul(a, terms[k - 1], out=terms[k])
+        terms[k] /= k
+    return terms
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a square matrix by scaling and squaring.
+
+    ``a`` is halved s times until its 1-norm is at most ``TAYLOR_SPAN``, and
+    the :func:`_taylor_terms` of the scaled matrix on the identity are summed.
+    With s > 0 the sum Y of all terms but the identity is squared s times as
+    Y <- 2Y + Y Y, and the result is I + Y. Defective matrices need no
+    special treatment; expm(0) is the identity exactly. A real matrix has a
+    real exponential, computed in real arithmetic. Raises ValueError for a
+    matrix whose 1-norm is not finite.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot exponentiate a matrix of 1-norm {norm}")
+    squarings = 0
+    while norm > TAYLOR_SPAN:
+        norm *= 0.5
+        squarings += 1
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    terms = _taylor_terms(a * 0.5**squarings, eye, norm)
+    if squarings == 0:
+        return terms.sum(axis=0)
+    # (I + Y)^2 = I + (2Y + Y Y): squaring Y keeps the low bits that a sum
+    # I + Y near the identity would round away before every squaring
+    y = terms[1:].sum(axis=0)
+    for _ in range(squarings):
+        y = 2.0 * y + y @ y
+    return eye + y
+
+
 def propagate(spec: LindbladSpec, rho0: np.ndarray, dt: float, steps: int):
     """Raw exact propagation of the master equation: ``steps`` applications
     of expm(L dt) to the full 4x4 matrix.
@@ -330,7 +388,7 @@ def propagate(spec: LindbladSpec, rho0: np.ndarray, dt: float, steps: int):
     largest off-pattern norm seen, which is the honest leakage measure for
     generators that do *not* preserve the pattern.
     """
-    prop = _kernels.expm(superoperator(spec) * dt)
+    prop = _expm(superoperator(spec) * dt)
     rho = np.asarray(rho0, dtype=np.complex128)
     max_leak = off_pattern_norm(rho)
     vec = rho.reshape(16)
@@ -475,7 +533,7 @@ def evolve(
     if full:
         # row i is hop^(i+1) x; the first `done` rows times hop^done give
         # the next ones, so the rows double in each round
-        power = _kernels.expm(generator * (dt * sample_every))
+        power = _expm(generator * (dt * sample_every))
         coords[0] = power @ x
         done = 1
         while done < full:
@@ -486,7 +544,7 @@ def evolve(
                 power = power @ power
         x = coords[full - 1]
     if rest:  # the short last interval
-        coords[full] = _kernels.expm(generator * (dt * rest)) @ x
+        coords[full] = _expm(generator * (dt * rest)) @ x
     times = np.array([0.0] + [n * dt for n in (*range(sample_every, steps, sample_every), steps)])
     checked = _checked_samples(coords, times[1:])
     samples = XState(*(np.concatenate(([getattr(x0, k)], getattr(checked, k))) for k in "abcdzw"))
@@ -549,14 +607,14 @@ def _expm_action(generator: np.ndarray, x: np.ndarray, width: float):
     """The function tau -> expm(generator * tau) @ x on 0 <= tau <= width.
 
     The bracket is cut into the fewest equal pieces with
-    ||G||_1 * piece <= ``_kernels.TAYLOR_SPAN``. When a point first falls in
+    ||G||_1 * piece <= ``TAYLOR_SPAN``. When a point first falls in
     piece j, its start x_j = expm(G piece j) @ x is computed and the
-    :func:`_kernels.taylor_terms` (G piece)^k x_j / k! are kept; after that a
+    :func:`_taylor_terms` (G piece)^k x_j / k! are kept; after that a
     point at tau = piece (j + s) costs one product of the powers s^k with
     those terms.
     """
     norm = float(np.abs(generator).sum(axis=0).max())
-    pieces = max(1, math.ceil(norm * width / _kernels.TAYLOR_SPAN))
+    pieces = max(1, math.ceil(norm * width / TAYLOR_SPAN))
     step = width / pieces
     gen = generator * step
     terms = {}  # piece -> its terms as a (K, 8) array
@@ -565,8 +623,8 @@ def _expm_action(generator: np.ndarray, x: np.ndarray, width: float):
         u = tau / step
         j = min(int(u), pieces - 1)
         if j not in terms:
-            start = x if j == 0 else _kernels.expm(gen * j) @ x
-            terms[j] = _kernels.taylor_terms(gen, start, norm * step)
+            start = x if j == 0 else _expm(gen * j) @ x
+            terms[j] = _taylor_terms(gen, start, norm * step)
         return np.dot((u - j) ** np.arange(len(terms[j]), dtype=float), terms[j])
 
     return action

@@ -413,15 +413,6 @@ def report_to_csv(report_dict: dict) -> str:
     return ",".join(keys) + "\n" + ",".join(cells) + "\n"
 
 
-def save_report(path: str, report_dict: dict, fmt: str = "json") -> None:
-    if fmt == "json":
-        write_json(path, report_dict)
-    elif fmt == "csv":
-        atomic_write(path, report_to_csv(report_dict))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-
-
 def trajectory_to_csv(traj) -> str:
     """One row per sample: time, the state's parameters and the recorded
     measures, each value at 17 significant digits."""

@@ -49,6 +49,12 @@ class TestValidate:
         x = xs.validate(1.0 + 5e-15, -5e-15, 0.0, 0.0)
         assert x.b == 0.0
 
+    def test_population_tolerance_boundary(self):
+        # the literal values pin POPULATION_TOL = 1e-14 from both sides
+        with pytest.raises(NegativePopulation):
+            xs.validate(-1e-13, 0.4, 0.3, 0.3 + 1e-13)
+        assert xs.validate(-1e-15, 0.4, 0.3, 0.3 + 1e-15).a == 0.0
+
     def test_coherence_clamped_to_boundary(self):
         bound = math.sqrt(0.25 * 0.25)
         x = xs.validate(0.25, 0.25, 0.25, 0.25, z=bound + 5e-13)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xstates as xs
-from xstates import _kernels, dynamics, fileio
+from xstates import dynamics, fileio
 from xstates.core import X_MASK
 from xstates.dynamics import Grade, pauli_string_matrix, pauli_tensor
 from xstates.errors import (
@@ -383,7 +383,7 @@ class TestExpm:
         from scipy.linalg import expm  # test-only reference
 
         expected = expm(a)
-        return np.linalg.norm(_kernels.expm(a) - expected) / np.linalg.norm(expected)
+        return np.linalg.norm(dynamics._expm(a) - expected) / np.linalg.norm(expected)
 
     def test_damping_liouvillian(self):
         assert self.rel_err(xs.superoperator(damping_spec(0.7, 1.3))) < 1e-12
@@ -430,7 +430,7 @@ class TestExpm:
         with mpmath.workdps(60):
             ref = mpmath.expm(mpmath.matrix(m.tolist()))
             expected = np.array(ref.tolist(), dtype=complex)
-        err = np.linalg.norm(_kernels.expm(m) - expected) / np.linalg.norm(expected)
+        err = np.linalg.norm(dynamics._expm(m) - expected) / np.linalg.norm(expected)
         assert err <= 1e-14
 
     @pytest.mark.parametrize("norm", [1.0 - 1e-15, 1.0, 1.0 + 1e-15])
@@ -445,7 +445,7 @@ class TestExpm:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_zero_gives_the_identity_exactly(self, dtype):
-        out = _kernels.expm(np.zeros((16, 16), dtype=dtype))
+        out = dynamics._expm(np.zeros((16, 16), dtype=dtype))
         assert out.dtype == dtype
         assert np.array_equal(out, np.eye(16))
 
@@ -453,7 +453,7 @@ class TestExpm:
         n = np.diag([1.0, 2.0, 3.0], 1)  # n^4 = 0, and ||n||_1 = 3 takes two squarings
         n2 = n @ n
         expected = np.eye(4) + n + n2 / 2.0 + n2 @ n / 6.0
-        assert np.abs(_kernels.expm(n) - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert np.abs(dynamics._expm(n) - expected).max() <= 1e-15 * np.abs(expected).max()
 
     @pytest.mark.parametrize("dtype, expected", [
         (np.int64, np.float64), (np.float32, np.float64), (np.float64, np.float64),
@@ -461,14 +461,14 @@ class TestExpm:
     ])
     def test_result_dtype(self, dtype, expected):
         m = np.array([[0.0, 1.0], [-1.0, 0.0]]).astype(dtype)
-        assert _kernels.expm(m).dtype == expected
+        assert dynamics._expm(m).dtype == expected
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_rejected(self, bad):
         m = -np.eye(4)
         m[1, 2] = bad
         with pytest.raises(ValueError, match="1-norm"):
-            _kernels.expm(m)
+            dynamics._expm(m)
 
     def test_propagate_rejects_a_nan_step(self):
         rho = xs.werner(0.5).to_matrix()
@@ -479,13 +479,13 @@ class TestExpm:
         # with ||a||_1 = 1 the bound 1/k! first drops below 2^-53 at k = 19
         a = np.array([[0.5, -0.25], [0.5, 0.75]])
         v = np.array([1.0, -2.0])
-        terms = _kernels.taylor_terms(a, v, 1.0)
+        terms = dynamics._taylor_terms(a, v, 1.0)
         assert terms.shape == (19, 2)
         assert 1.0 / math.factorial(18) >= 2.0**-53 > 1.0 / math.factorial(19)
         for k, term in enumerate(terms):
             exact = np.linalg.matrix_power(a, k) @ v / math.factorial(k)
             assert np.abs(term - exact).max() <= 1e-15 * np.abs(exact).max()
-        assert _kernels.taylor_terms(a, np.eye(2), 0.0).shape == (1, 2, 2)
+        assert dynamics._taylor_terms(a, np.eye(2), 0.0).shape == (1, 2, 2)
 
     def test_runtime_imports_no_scipy(self):
         code = ("import sys, xstates; "
@@ -707,14 +707,14 @@ class TestEvolve:
         x0 = xs.validate(0.4, 0.3, 0.2, 0.1, z=0.2 - 0.1j, w=0.15 + 0.05j)
         dt, every = 0.01, 4
         traj = xs.evolve(spec, x0, dt=dt, t_max=steps * dt, sample_every=every, record=())
-        hop = _kernels.expm(traj.generator * (dt * every))
+        hop = dynamics._expm(traj.generator * (dt * every))
         x = dynamics._coords(x0)
         expected = [x]
         for _ in range(steps // every):
             x = hop @ x
             expected.append(x)
         if steps % every:
-            expected.append(_kernels.expm(traj.generator * (dt * (steps % every))) @ x)
+            expected.append(dynamics._expm(traj.generator * (dt * (steps % every))) @ x)
         assert len(traj.states) == len(expected) == 1 - (-steps // every)
         assert traj.times[-1] == pytest.approx(steps * dt, abs=1e-15)
         # hop's eigenvalue 1 (the steady state) is rounded, so both loops
@@ -896,7 +896,7 @@ class TestEsd:
         norm = np.abs(generator).sum(axis=0).max()
         assert norm * width > min_span
         # at least two points in every piece, both ends of the bracket included
-        pieces = max(1, math.ceil(norm * width / _kernels.TAYLOR_SPAN))
+        pieces = max(1, math.ceil(norm * width / dynamics.TAYLOR_SPAN))
         taus = np.linspace(0.0, width, max(32, 2 * pieces + 1))
         step = width / pieces
         assert {min(int(tau / step), pieces - 1) for tau in taus} == set(range(pieces))

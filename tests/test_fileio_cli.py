@@ -248,6 +248,16 @@ class TestMeasuresCommand:
         assert cells["mmm_discord"] == ""
         assert cells["side"] == "B"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_bytes_equal_out_file_bytes(self, tmp_path, capsysbinary, fmt):
+        state = tmp_path / "s.json"
+        fileio.save_state(str(state), xs.validate(0.4, 0.3, 0.2, 0.1, z=0.1 + 0.02j, w=0.05))
+        out = tmp_path / f"report.{fmt}"
+        assert run_cli("measures", "--in", str(state), "--format", fmt) == 0
+        printed = capsysbinary.readouterr().out
+        assert run_cli("measures", "--in", str(state), "--out", str(out), "--format", fmt) == 0
+        assert printed and printed == out.read_bytes()
+
     def test_side_flag_switches_measured_subsystem(self, tmp_path):
         x = xs.validate(0.4, 0.3, 0.2, 0.1, z=0.1, w=0.05)
         state = tmp_path / "s.json"

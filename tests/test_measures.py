@@ -138,6 +138,13 @@ class TestSchmidt:
         with pytest.raises(UnnormalizedPhases):
             xs.schmidt_spectrum(x)
 
+    @pytest.mark.parametrize("dz, number", [(1e-9, 4), (1e-11, 3)])
+    def test_threshold_boundary(self, dz, number):
+        # the least singular value is |z| - |w|, and the literal values pin
+        # SCHMIDT_THRESHOLD = 1e-10 from both sides
+        x = xs.validate(0.3, 0.2, 0.2, 0.3, z=0.1 + dz, w=0.1)
+        assert xs.schmidt_number(xs.schmidt_spectrum(x)) == number
+
 
 class TestGeometricDiscord:
     def test_diagonal_states_vanish(self):
@@ -218,6 +225,13 @@ class TestMMMDiscord:
     def test_non_mmm_rejected(self):
         with pytest.raises(NotMMM):
             xs.mmm_discord(xs.validate(0.4, 0.3, 0.2, 0.1))
+
+    @pytest.mark.parametrize("a3, mmm", [(1e-8, False), (1e-12, True)])
+    def test_tolerance_boundary(self, a3, mmm):
+        # B3 = 0 and A3 from the literal values, which pin MMM_TOL = 1e-10
+        # from both sides
+        x = xs.validate((1 + a3) / 4, (1 + a3) / 4, (1 - a3) / 4, (1 - a3) / 4, z=0.1, w=0.05)
+        assert (xs.report(x).mmm_discord is not None) == mmm
 
     def test_spectral_form_equals_signed_four_term_expression(self):
         # the four-term Bell-weight expression with signed coefficients is

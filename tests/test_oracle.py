@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 import xstates as xs
 from xstates.oracle import CAMPAIGN_THRESHOLDS, MeasurementBasis
-from conftest import brute_force_min_conditional_entropy, random_states
+from conftest import (
+    brute_force_min_conditional_entropy,
+    dense_conditional_entropy,
+    random_states,
+)
 from test_measures import WERNER_HALF_DISCORD, werner_discord
 from test_output_bytes import edge_states
 
@@ -95,6 +99,15 @@ class TestConditionalEntropy:
                 expected += p * float(-(ev * np.log2(ev)).sum())
             got = xs.conditional_entropy(x, basis)
             assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_rare_outcome_counts(self):
+        # the sigma_z outcome |1> on B has probability b + d = 1e-12, above
+        # the 1e-14 cut, and adds about 1e-12 bits
+        a, b = 0.6, 5e-13
+        x = xs.validate(a, b, 1 - a - 2 * b, b, z=0.5 * math.sqrt(b * (1 - a - 2 * b)),
+                        w=0.3 * math.sqrt(a * b))
+        dense = float(dense_conditional_entropy(x.to_matrix(), 0.0, 0.0))
+        assert abs(xs.conditional_entropy(x, MeasurementBasis(0.0, 0.0)) - dense) <= 1e-14
 
     def test_candidate_points_match_approx_entropies(self):
         # theta = pi/4 reproduces N1, theta = pi/2 reproduces N2
