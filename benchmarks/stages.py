@@ -78,7 +78,8 @@ digests mean equal output bytes; a manifest's ``duration_s`` and the
 run's directory are blanked) and any call counts of one repeat;
 with a baseline, per stage the median over pairs of this checkout's time
 over the baseline's, and the number of pairs this checkout won; and the
-environment. The timings are the wall time of one single-threaded process.
+environment, numpy's SIMD targets and BLAS included (see ``environment``).
+The timings are the wall time of one single-threaded process.
 """
 
 from __future__ import annotations
@@ -363,6 +364,32 @@ def quartiles(values: list) -> dict:
     return {"p25": q1, "median": median, "p75": q3}
 
 
+# environment variables that change which numpy and BLAS kernels run
+KERNEL_VARIABLES = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+
+
+def environment() -> dict:
+    """The interpreter, numpy's SIMD targets (its baseline and the targets
+    it found on this CPU) and BLAS, as ``np.show_config`` reports them, and
+    those of ``KERNEL_VARIABLES`` that are set."""
+    config = np.show_config(mode="dicts")
+    simd = config.get("SIMD Extensions", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    env = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "kernel_path": "numpy",
+        "simd_baseline": simd.get("baseline"),
+        "simd_found": simd.get("found"),
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+    }
+    env.update((name, os.environ[name]) for name in KERNEL_VARIABLES if name in os.environ)
+    return env
+
+
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
@@ -420,13 +447,7 @@ def main(argv=None) -> dict:
                              "wins": sum(t < b for t, b in zip(this, base))}
         result["paired"] = paired
         result["same_bytes"] = runs["this"]["digests"] == runs["baseline"]["digests"]
-    result["env"] = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "kernel_path": "numpy",
-    }
+    result["env"] = environment()
     print(json.dumps(result))
     return result
 

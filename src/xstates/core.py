@@ -407,15 +407,17 @@ def _streams(seed: int, indices):
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     bits = np.random.Philox(0)  # its state is replaced before every draw
     rng = np.random.Generator(bits)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # the buffer is spent, so the next draw starts at counter 0
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for index in indices:
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,  # the buffer is spent, so the next draw starts at counter 0
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        state["state"]["key"] = (seed, index)
+        bits.state = state  # the setter copies the values, so one dict serves every index
         yield rng
 
 

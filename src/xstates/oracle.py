@@ -15,6 +15,7 @@ optimum can be interior.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -47,14 +48,28 @@ def _conditional_entropy_sums(t, dd, e, f, q, theta):
     with the larger eigenvalue
     1/2 + sqrt((e +- cos(2 theta) f)^2 + q sin^2(2 theta)) / (4 p).
     """
+    # in place on four buffers, operation by operation (+ and * commute bit for bit),
+    # 0.5 sum(where(pp < 2e-14, 0, pp -(lam log2(lam) + rest log2(max(rest, 1e-300)))))
     c2 = np.multiply.outer(_OUTCOMES, np.cos(2.0 * theta))
     s2 = np.sin(2.0 * theta)
-    pp = t + c2 * dd  # twice the outcome probabilities
-    n = e + c2 * f
-    lam = np.minimum(0.5 + 0.5 * np.sqrt(n * n + q * (s2 * s2)) / np.maximum(pp, 1e-300), 1.0)
-    rest = 1.0 - lam
-    h = -(lam * np.log2(lam) + rest * np.log2(np.maximum(rest, 1e-300)))
-    return 0.5 * np.where(pp < 2e-14, 0.0, pp * h).sum(axis=0)
+    pp = np.multiply(c2, dd)
+    pp += t  # twice the outcome probabilities
+    lam = np.multiply(c2, f)
+    lam += e  # n
+    lam *= lam
+    lam += q * (s2 * s2)
+    lam = np.multiply(np.sqrt(lam, out=lam), 0.5, out=lam)
+    rest = np.maximum(pp, 1e-300)
+    lam /= rest
+    lam += 0.5
+    lam = np.minimum(lam, 1.0, out=lam)
+    rest = np.subtract(1.0, lam, out=rest)
+    h = np.log2(lam)
+    h *= lam
+    h += np.multiply(np.log2(np.maximum(rest, 1e-300, out=lam), out=lam), rest, out=lam)
+    h = np.multiply(np.negative(h, out=h), pp, out=h)
+    h[pp < 2e-14] = 0.0
+    return 0.5 * h.sum(axis=0)
 
 
 def _scan_levels(grid: int) -> int:
@@ -67,6 +82,14 @@ def _scan_levels(grid: int) -> int:
         step *= 2.0 / (REFINE_POINTS - 1)
         levels += 1
     return levels
+
+
+@functools.lru_cache(maxsize=8)
+def _scan_angles(grid: int) -> np.ndarray:
+    """The first scan's ``grid`` angles over [0, pi/4], read-only: calls share them."""
+    theta = 0.25 * math.pi * np.linspace(0.0, 1.0, grid)
+    theta.flags.writeable = False
+    return theta
 
 
 def _keeps_endpoint(t, dd, e, f, q, at_zero):
@@ -115,7 +138,7 @@ def _min_conditional_entropy(a, b, c, d, z, w, grid=64):
     a, b, c, d, z, w = (np.asarray(p, dtype=float).reshape(-1, 1) for p in (a, b, c, d, z, w))
     # conditional_entropy at phi = 0, where the coherence term is (z + w)^2
     sums = _sums(a, b, c, d, (z + w) ** 2)
-    theta = 0.25 * math.pi * np.linspace(0.0, 1.0, grid)
+    theta = _scan_angles(grid)
     vals = _conditional_entropy_sums(*sums, theta[None])
     k = np.argmin(vals, axis=-1)
     best_v, best_t = vals[np.arange(k.size), k], theta[k]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xstates as xs
+from xstates import core
 from xstates.errors import (
     CoherenceBoundViolated,
     InfeasibleState,
@@ -375,7 +376,8 @@ def fresh_stream_state(seed: int, index: int, complex_phases: bool) -> xs.XState
 class TestRandomBatches:
     @pytest.mark.parametrize("complex_phases", [False, True])
     @pytest.mark.parametrize("seed, start, stop",
-                             [(1, 0, 10_000), (77, 4321, 5321), (2**64 - 1, 0, 100)])
+                             [(1, 0, 10_000), (77, 4321, 5321), (2**64 - 1, 0, 100),
+                              (0, 1000, 1300)])
     def test_batch_equals_each_index_bit_for_bit(self, seed, start, stop, complex_phases):
         batch = xs.random_xstates(seed, start, stop, complex_phases=complex_phases)
         assert batch.a.shape == (stop - start,) and batch.z.dtype == np.complex128
@@ -386,6 +388,16 @@ class TestRandomBatches:
             for reference in (singles, fresh):
                 want = np.array([getattr(x, k) for x in reference], dtype=got.dtype)
                 assert got.tobytes() == want.tobytes(), k
+
+    def test_each_index_restarts_its_stream(self):
+        # uneven draws, a buffered 32-bit half included, must not reach the
+        # next index's stream
+        indices = [7, 3, 7, 2**63, 0]
+        for k, (index, rng) in enumerate(zip(indices, core._streams(5, indices))):
+            fresh = np.random.Generator(np.random.Philox(key=np.array([5, index], np.uint64)))
+            got = (rng.integers(2**32, dtype=np.uint32, size=k + 1), rng.random(k))
+            want = (fresh.integers(2**32, dtype=np.uint32, size=k + 1), fresh.random(k))
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_outside_uint64_rejected(self, seed):

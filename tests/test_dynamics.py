@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import xstates as xs
 from xstates import dynamics, fileio
+from xstates.cli import main
 from xstates.core import X_MASK
 from xstates.dynamics import Grade, pauli_string_matrix, pauli_tensor
 from xstates.errors import (
@@ -736,6 +737,31 @@ class TestEvolve:
         else:
             states = dynamics._checked_samples(np.array([x]), np.array([0.1]))
             assert states.a[0] + states.d[0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("eps, rejected", [(1e-10, True), (1e-13, False)])
+    def test_preserve_rtol_bound(self, eps, rejected, tmp_path, capsys):
+        # damping on A plus eps XI leaks a ratio 0.63 eps of the Liouvillian,
+        # on either side of PRESERVE_RTOL = 1e-12
+        spec = xs.LindbladSpec.from_rates([np.kron(SM, np.eye(2))], [1.0],
+                                          hamiltonian=eps * pauli_string_matrix("XI"))
+        ratio = dynamics._leak_ratio(dynamics.superoperator(spec))
+        assert ratio == pytest.approx(0.6325 * eps, rel=1e-3)
+        nested = [[[[v.real, v.imag] for v in row] for row in m]
+                  for m in (spec.operators[0], spec.hamiltonian)]
+        path = tmp_path / "check.json"
+        path.write_text(json.dumps({"lindblad": {"operators": nested[:1], "rates": [1.0],
+                                                 "hamiltonian": nested[1]}}))
+        code = main(["check", "--in", str(path)])
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert xs.check_lindblad(spec).preserving is not rejected
+        if rejected:
+            assert code == 1 and verdict.startswith("not preserving: ")
+            with pytest.raises(NotPreserving, match="generator mixes the two support patterns"):
+                xs.evolve(spec, xs.werner(0.6), dt=1e-2, t_max=0.1)
+        else:
+            assert code == 0 and verdict.startswith("preserving: ")
+            traj = xs.evolve(spec, xs.werner(0.6), dt=1e-2, t_max=0.1)
+            assert traj.max_leakage == ratio
 
 
 class TestXBlock:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xstates as xs
+from xstates import fileio, oracle
 from xstates.oracle import CAMPAIGN_THRESHOLDS, MeasurementBasis
 from conftest import (
     brute_force_min_conditional_entropy,
@@ -117,6 +118,82 @@ class TestConditionalEntropy:
             n2 = xs.conditional_entropy(x, MeasurementBasis(math.pi / 2, 0.0))
             assert n1 == pytest.approx(r.n1, abs=1e-10)
             assert n2 == pytest.approx(r.n2, abs=1e-10)
+
+
+def one_line_entropy_sums(t, dd, e, f, q, theta):
+    """The expression that :func:`oracle._conditional_entropy_sums`
+    evaluates in place, written as one line of temporaries."""
+    c2 = np.multiply.outer(np.array([1.0, -1.0]), np.cos(2.0 * theta))
+    s2 = np.sin(2.0 * theta)
+    pp = t + c2 * dd
+    n = e + c2 * f
+    lam = np.minimum(0.5 + 0.5 * np.sqrt(n * n + q * (s2 * s2)) / np.maximum(pp, 1e-300), 1.0)
+    rest = 1.0 - lam
+    h = -(lam * np.log2(lam) + rest * np.log2(np.maximum(rest, 1e-300)))
+    return 0.5 * np.where(pp < 2e-14, 0.0, pp * h).sum(axis=0)
+
+
+def scan_sums(batch):
+    """The oracle's sums of a batch, one state per row."""
+    a, b, c, d, zw = (np.asarray(v, dtype=float).reshape(-1, 1)
+                      for v in (batch.a, batch.b, batch.c, batch.d, batch.abs_z + batch.abs_w))
+    return oracle._sums(a, b, c, d, zw * zw)
+
+
+# populations with b = d: at theta = 0 outcome |1> of B has pp = 2 (b + d),
+# exactly 0 for b = d = 0 and 1.2e-14, inside the cut, for b = d = 3e-15
+RARE_OUTCOME_STATES = xs.stack([
+    xs.validate(a, b, 1.0 - a - 2.0 * b, b, z=0.5 * math.sqrt(b * (1.0 - a - 2.0 * b)))
+    for a in (0.3, 0.6) for b in (0.0, 3e-15)
+])
+
+
+class TestInPlaceKernel:
+    """The in-place evaluation gives the bits of the one-line expression."""
+
+    @staticmethod
+    def assert_same_bits(*args):
+        with np.errstate(all="raise", under="ignore"):  # as the CLI runs it
+            got = oracle._conditional_entropy_sums(*args)
+            want = one_line_entropy_sums(*args)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 256])
+    @pytest.mark.parametrize("grid", [2, 64])
+    def test_grid_scans(self, n, grid):
+        sums = scan_sums(xs.random_xstates(13, 0, n))
+        self.assert_same_bits(*sums, oracle._scan_angles(grid)[None])
+
+    @pytest.mark.parametrize("n", [1, 7, 100])
+    def test_rescans_with_per_state_angles(self, n):
+        sums = scan_sums(xs.random_xstates(17, 0, n))
+        theta = np.random.default_rng(n).uniform(0.0, math.pi / 4, (n, oracle.REFINE_POINTS))
+        self.assert_same_bits(*sums, theta)
+
+    def test_impossible_and_rare_outcomes(self):
+        sums = scan_sums(RARE_OUTCOME_STATES)
+        t, dd = sums[0][:, 0], sums[1][:, 0]
+        assert list(t - dd == 0.0) == [True, False, True, False]
+        assert all((0.0 < p < 2e-14) for p in (t - dd)[1::2])
+        self.assert_same_bits(*sums, oracle._scan_angles(64)[None])
+        self.assert_same_bits(*sums, np.tile([0.0, 1e-9, 0.3], (4, 1)))
+
+    def test_scalar_conditional_entropy(self, monkeypatch):
+        calls = []
+        kernel = oracle._conditional_entropy_sums
+        monkeypatch.setattr(oracle, "_conditional_entropy_sums",
+                            lambda *args: calls.append(args) or kernel(*args))
+        states = random_states(20, seed=23, complex_phases=True) + xs.unstack(
+            RARE_OUTCOME_STATES)
+        rng = np.random.default_rng(5)
+        for x in states:
+            for basis in (MeasurementBasis(0.0, 0.0),
+                          MeasurementBasis(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))):
+                with np.errstate(all="raise", under="ignore"):
+                    got = xs.conditional_entropy(x, basis)
+                want = one_line_entropy_sums(*calls[-1])
+                assert type(got) is type(want) and got.tobytes() == want.tobytes()
 
 
 class TestDiscordOracle:
@@ -371,6 +448,14 @@ class TestCampaign:
         stats = xs.approx_error_campaign(2500, seed=3, progress=done.append)
         assert done == [1000, 2000]
         assert stats.n == 2500
+
+    def test_bytes_independent_of_chunk(self, monkeypatch):
+        # the chunk only sets the batch size; 7 leaves a short last batch
+        outputs = set()
+        for chunk in (1, 7, 100, 1000):
+            monkeypatch.setattr(oracle, "CAMPAIGN_CHUNK", chunk)
+            outputs.add(fileio.dumps(xs.approx_error_campaign(1000, seed=2).to_dict()))
+        assert len(outputs) == 1
 
     def test_thresholds_fixed(self):
         assert CAMPAIGN_THRESHOLDS == (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)

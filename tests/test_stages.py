@@ -1,6 +1,7 @@
 """The per-stage timer ``benchmarks/stages.py`` runs every workload on this
 checkout and reports one set of output digests per copy."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -9,6 +10,9 @@ from pathlib import Path
 import pytest
 
 STAGES = Path(__file__).resolve().parents[1] / "benchmarks" / "stages.py"
+# the env block's keys when no kernel-selecting variable is set
+ENV_KEYS = {"python", "numpy", "machine", "cpu_count", "kernel_path", "simd_baseline",
+            "simd_found", "blas", "blas_version"}
 
 
 @pytest.mark.parametrize("workload", ["campaign", "corpus", "dynamics"])
@@ -26,3 +30,19 @@ def test_every_workload_runs(workload):
     assert all(q["p25"] <= q["median"] <= q["p75"] for q in run["stages"].values())
     if workload == "campaign":
         assert run["calls"]["state_entropies"] > 0
+    assert ENV_KEYS <= set(result["env"])
+
+
+def test_environment_names_simd_blas_and_kernel_variables(monkeypatch):
+    spec = importlib.util.spec_from_file_location("stages", STAGES)
+    stages = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stages)
+    for name in stages.KERNEL_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    env = stages.environment()
+    assert set(env) == ENV_KEYS
+    assert isinstance(env["simd_baseline"], list) and isinstance(env["blas"], str)
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512F")
+    env = stages.environment()
+    assert (env["OPENBLAS_CORETYPE"], env["NPY_DISABLE_CPU_FEATURES"]) == ("Haswell", "AVX512F")
