@@ -59,11 +59,9 @@ For ``campaign`` and ``dynamics`` the package's functions are wrapped by
 timers, and a call is timed as its own stage only when made from outside
 every stage or from a container stage (``stats``, ``oracle`` and
 ``approx_discord``; ``cli`` and ``sample_loop``); a nested call counts in
-the stage that made it. A wrapped function is found by name in the module
-that defines it; in a copy that still has the ``_kernels`` module, where the
-oracle's minimisation and the matrix exponential once lived, it is found
-there. The timers add about a microsecond per wrapped call, to both copies
-alike.
+the stage that made it. A wrapped function is replaced by name in the
+module that defines it. The timers add about a microsecond per wrapped
+call, to both copies alike.
 
 ``xstates`` is imported from the ``src`` directory of this file's checkout.
 ``--baseline`` imports a second copy of the package from another source
@@ -112,33 +110,12 @@ def import_package(src: Path) -> SimpleNamespace:
     try:
         modules = {name: importlib.import_module(f"xstates.{name}")
                    for name in ("cli", "dynamics", "fileio", "measures", "oracle")}
-        try:
-            modules["_kernels"] = importlib.import_module("xstates._kernels")
-        except ModuleNotFoundError:
-            modules["_kernels"] = None
         package = importlib.import_module("xstates")
     finally:
         sys.path.remove(str(src))
         for name in [m for m in sys.modules if m == "xstates" or m.startswith("xstates.")]:
             del sys.modules[name]
     return SimpleNamespace(xs=package, src=str(src), **modules)
-
-
-# the names that functions had in ``_kernels``, where they differ
-_KERNEL_NAMES = {"_expm": "expm"}
-
-
-def function_home(pkg, module: str, name: str) -> tuple:
-    """(module object, attribute) through which the package calls its
-    function ``name`` of ``module``: that module itself, or ``_kernels`` in
-    a copy that still holds the function there."""
-    home = getattr(pkg, module)
-    if hasattr(home, name):
-        return home, name
-    kernels, legacy = pkg._kernels, _KERNEL_NAMES.get(name, name)
-    if kernels is not None and hasattr(kernels, legacy):
-        return kernels, legacy
-    raise SystemExit(f"{pkg.src}: xstates.{module} has no {name}")
 
 
 class Corpus:
@@ -256,7 +233,7 @@ class Campaign(Timed):
         self.campaign = self._timed(oracle.approx_error_campaign, "stats")
         self._wrap(oracle, "random_xstates", "sampling")
         self._wrap(oracle, "approx_discord", "approx_discord")
-        self._wrap(*function_home(pkg, "oracle", "_keeps_endpoint"), "keeps_endpoint")
+        self._wrap(oracle, "_keeps_endpoint", "keeps_endpoint")
         # a minimisation's first evaluation is its scan, the later ones rescans
         first = [True]
         discord_oracle = self._timed(oracle.discord_oracle, "oracle")
@@ -266,15 +243,14 @@ class Campaign(Timed):
             return discord_oracle(*args, **kwargs)
 
         oracle.discord_oracle = fresh_minimisation
-        home, name = function_home(pkg, "oracle", "_conditional_entropy_sums")
-        scan = self._timed(getattr(home, name), "scan")
-        rescan = self._timed(getattr(home, name), "rescans")
+        scan = self._timed(oracle._conditional_entropy_sums, "scan")
+        rescan = self._timed(oracle._conditional_entropy_sums, "rescans")
 
         def scan_or_rescan(*args):
             is_scan, first[0] = first[0], False
             return (scan if is_scan else rescan)(*args)
 
-        setattr(home, name, scan_or_rescan)
+        oracle._conditional_entropy_sums = scan_or_rescan
         # the oracle and approx_discord each call it through their own module
         entropies = self._timed(measures._state_entropies, "state_entropies")
         self.calls["state_entropies"] = 0
@@ -328,7 +304,7 @@ class Dynamics(Timed):
             (dynamics, "_leak_ratio", "superoperator_verdict"),
             (dynamics, "_verdict", "superoperator_verdict"),
             (dynamics, "_x_block", "x_block_expm"),
-            (*function_home(pkg, "dynamics", "_expm"), "x_block_expm"),
+            (dynamics, "_expm", "x_block_expm"),
             (dynamics, "_checked_samples", "checked_samples"),
             (fileio, "trajectory_to_csv", "csv"),
             (fileio, "atomic_write", "writes"),

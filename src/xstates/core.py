@@ -183,6 +183,15 @@ def _where(cond, x, y):
     return (x if cond else y) if type(cond) is bool else np.where(cond, x, y)[()]
 
 
+def _complex(re, im):
+    """re + i im with the bits of both parts, for numbers or equal-shape arrays."""
+    if not isinstance(re, np.ndarray):
+        return complex(re, im)
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
 def validate(a, b, c, d, z=0j, w=0j) -> XState:
     """Check raw parameters and return a valid :class:`XState`.
 
@@ -323,18 +332,24 @@ def to_fano(x: XState) -> FanoParams:
 
 
 def from_fano(f: FanoParams) -> XState:
-    """Inverse of :func:`to_fano`; raises :class:`InfeasibleState` when the
-    coordinates do not describe a physical state."""
+    """Inverse of :func:`to_fano`, for a state or a batch whose fields are
+    arrays; raises :class:`InfeasibleState` when the coordinates do not
+    describe a physical state, for a batch with the first failing element's
+    ``index`` (see :func:`validate`)."""
+    if any(isinstance(v, np.ndarray) for v in f):
+        f = FanoParams(*np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in f)))
     a = 0.25 * (1.0 + f.A3 + f.B3 + f.C3)
     b = 0.25 * (1.0 + f.A3 - f.B3 - f.C3)
     c = 0.25 * (1.0 - f.A3 + f.B3 - f.C3)
     d = 0.25 * (1.0 - f.A3 - f.B3 + f.C3)
-    z = complex(0.25 * (f.C1 + f.C2), 0.25 * (f.C12 - f.C21))
-    w = complex(0.25 * (f.C1 - f.C2), -0.25 * (f.C12 + f.C21))
+    z = _complex(0.25 * (f.C1 + f.C2), 0.25 * (f.C12 - f.C21))
+    w = _complex(0.25 * (f.C1 - f.C2), -0.25 * (f.C12 + f.C21))
     try:
         return validate(a, b, c, d, z, w)
     except (TraceError, NegativePopulation, CoherenceBoundViolated) as exc:
-        raise InfeasibleState(str(exc)) from exc
+        err = InfeasibleState(str(exc))
+        err.index = exc.index
+        raise err from exc
 
 
 _BELL_PARAMS = (

@@ -11,11 +11,10 @@ which on the eight real coordinates (a, b, c, d, Re z, Im z, Re w, Im w)
 is a real 8x8 matrix G. :func:`evolve` propagates with expm(G t), taking
 its samples by doubling in log2(n) rounds of products, and
 :func:`esd_time` finds the sudden-death crossing by safeguarded Newton
-steps on the action expm(G tau) x; :func:`propagate` applies the full
-expm(L t) to a 4x4 matrix, leakage included, for maps that need not
-preserve the pattern. :func:`_expm` sums each exponential, and
-:func:`_expm_action` each action of one on a vector, from the truncated
-Taylor series of :func:`_taylor_terms`.
+steps on expm(G tau) x; :func:`propagate` applies the full expm(L t) to a
+4x4 matrix, leakage included, for maps that need not preserve the
+pattern. Every one of these exponentials is :func:`_expm`, a truncated
+Taylor series with scaling and squaring.
 """
 
 from __future__ import annotations
@@ -322,42 +321,22 @@ def off_pattern_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.where(X_MASK, 0.0, np.asarray(m))))
 
 
-# _expm sums the series of a matrix scaled to at most this 1-norm, and
-# _expm_action cuts its bracket into pieces of at most this much ||G||_1 tau
+# _expm halves a matrix until its 1-norm is at most this, then sums its series
 TAYLOR_SPAN = 1.0
-
-
-def _taylor_terms(a: np.ndarray, v: np.ndarray, norm: float) -> np.ndarray:
-    """The terms a^k v / k!, k = 0, 1, ..., of the series of expm(a) v,
-    stacked on axis 0; ``v`` is a vector or a matrix.
-
-    ``norm`` bounds the 1-norm of ``a``, so norm^k / k! bounds the k-th term
-    relative to v. Terms are kept while that bound is at least 2^-53, the
-    first one below it ends the series (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011)).
-    """
-    count, bound = 1, norm  # terms kept, and the bound of the next one
-    while bound >= 2.0**-53:
-        count += 1
-        bound *= norm / count
-    terms = np.empty((count,) + np.shape(v), dtype=np.result_type(a, v))
-    terms[0] = v
-    for k in range(1, count):
-        np.matmul(a, terms[k - 1], out=terms[k])
-        terms[k] /= k
-    return terms
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix by scaling and squaring.
 
     ``a`` is halved s times until its 1-norm is at most ``TAYLOR_SPAN``, and
-    the :func:`_taylor_terms` of the scaled matrix on the identity are summed.
-    With s > 0 the sum Y of all terms but the identity is squared s times as
-    Y <- 2Y + Y Y, and the result is I + Y. Defective matrices need no
-    special treatment; expm(0) is the identity exactly. A real matrix has a
-    real exponential, computed in real arithmetic. Raises ValueError for a
-    matrix whose 1-norm is not finite.
+    the terms a^k / k! of the scaled matrix's series are kept while the
+    bound norm^k / k! on the k-th term is at least 2^-53; the first one
+    below it ends the series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    488 (2011)). With s > 0 the sum Y of all terms but the identity is
+    squared s times as Y <- 2Y + Y Y, and the result is I + Y. Defective
+    matrices need no special treatment; expm(0) is the identity exactly. A
+    real matrix has a real exponential, computed in real arithmetic. Raises
+    ValueError for a matrix whose 1-norm is not finite.
     """
     a = np.asarray(a)
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
@@ -368,8 +347,16 @@ def _expm(a: np.ndarray) -> np.ndarray:
     while norm > TAYLOR_SPAN:
         norm *= 0.5
         squarings += 1
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    terms = _taylor_terms(a * 0.5**squarings, eye, norm)
+    a = a * 0.5**squarings
+    count, bound = 1, norm  # terms kept, and the bound of the next one
+    while bound >= 2.0**-53:
+        count += 1
+        bound *= norm / count
+    terms = np.empty((count,) + a.shape, dtype=a.dtype)
+    terms[0] = np.eye(a.shape[0], dtype=a.dtype)
+    for k in range(1, count):
+        np.matmul(a, terms[k - 1], out=terms[k])
+        terms[k] /= k
     if squarings == 0:
         return terms.sum(axis=0)
     # (I + Y)^2 = I + (2Y + Y Y): squaring Y keeps the low bits that a sum
@@ -377,7 +364,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     y = terms[1:].sum(axis=0)
     for _ in range(squarings):
         y = 2.0 * y + y @ y
-    return eye + y
+    return terms[0] + y
 
 
 def propagate(spec: LindbladSpec, rho0: np.ndarray, dt: float, steps: int):
@@ -603,33 +590,6 @@ def _concurrence_gap(x: np.ndarray, dx: np.ndarray) -> tuple:
     return mod - root, slope
 
 
-def _expm_action(generator: np.ndarray, x: np.ndarray, width: float):
-    """The function tau -> expm(generator * tau) @ x on 0 <= tau <= width.
-
-    The bracket is cut into the fewest equal pieces with
-    ||G||_1 * piece <= ``TAYLOR_SPAN``. When a point first falls in
-    piece j, its start x_j = expm(G piece j) @ x is computed and the
-    :func:`_taylor_terms` (G piece)^k x_j / k! are kept; after that a
-    point at tau = piece (j + s) costs one product of the powers s^k with
-    those terms.
-    """
-    norm = float(np.abs(generator).sum(axis=0).max())
-    pieces = max(1, math.ceil(norm * width / TAYLOR_SPAN))
-    step = width / pieces
-    gen = generator * step
-    terms = {}  # piece -> its terms as a (K, 8) array
-
-    def action(tau: float) -> np.ndarray:
-        u = tau / step
-        j = min(int(u), pieces - 1)
-        if j not in terms:
-            start = x if j == 0 else _expm(gen * j) @ x
-            terms[j] = _taylor_terms(gen, start, norm * step)
-        return np.dot((u - j) ** np.arange(len(terms[j]), dtype=float), terms[j])
-
-    return action
-
-
 def esd_time(traj: Trajectory) -> Optional[float]:
     """First time the concurrence dies and stays dead.
 
@@ -637,9 +597,8 @@ def esd_time(traj: Trajectory) -> Optional[float]:
     followed by ``ESD_CONFIRM`` equally dead samples, then finds the
     crossing between that sample and the one before by safeguarded Newton
     steps on the concurrence gap (:func:`_concurrence_gap`). The state at
-    each point is the action expm(G tau) x on the coordinates x of the
-    earlier sample, summed from Taylor terms computed once for each piece of
-    the bracket (:func:`_expm_action`), and its derivative is G times it.
+    each point is _expm(G tau) @ x on the coordinates x of the earlier
+    sample, tau after it, and its derivative is G times that state.
     Each point narrows the sign bracket; a Newton point outside the bracket,
     or one from a zero or non-finite slope, is replaced by the bracket's
     midpoint. The search stops when the bracket is narrower than 1e-12
@@ -665,7 +624,6 @@ def esd_time(traj: Trajectory) -> Optional[float]:
     gap, slope = _concurrence_gap(lo_x, generator @ lo_x)
     if gap <= 0.0:
         return lo_t
-    action = _expm_action(generator, lo_x, hi_t - lo_t)
     lo, hi, t = lo_t, hi_t, lo_t
     resolution = 1e-12 * max(1.0, hi_t)
     for _ in range(ESD_ITERATIONS):
@@ -676,7 +634,7 @@ def esd_time(traj: Trajectory) -> Optional[float]:
                 break
         else:
             t = 0.5 * (lo + hi)
-        x = action(t - lo_t)
+        x = _expm(generator * (t - lo_t)) @ lo_x
         gap, slope = _concurrence_gap(x, generator @ x)
         if gap > 0.0:
             lo = t

@@ -198,10 +198,12 @@ class OracleResult:
 
 
 def conditional_entropy(x: XState, basis: MeasurementBasis, side: str = "B"):
-    """Average post-measurement entropy of the unmeasured qubit (bits).
+    """Average post-measurement entropy of the unmeasured qubit (bits), for
+    a state or, one value per state, for each state of a batch.
 
-    Measures ``side`` in ``basis``; outcomes with probability below 1e-14
-    contribute nothing.
+    Measures ``side`` in ``basis``, whose ``theta`` may be an array of
+    angles that broadcasts against the states; outcomes with probability
+    below 1e-14 contribute nothing.
     """
     _check_side(side)
     st = x if side == "B" else x.swap_qubits()
@@ -210,7 +212,9 @@ def conditional_entropy(x: XState, basis: MeasurementBasis, side: str = "B"):
     sp = np.sin(basis.phi)
     # |e^{i phi} w + e^{-i phi} z|^2, the coherence both outcomes leave on A
     oo = (cp * (wr + zr) + sp * (zi - wi)) ** 2 + (sp * (wr - zr) + cp * (wi + zi)) ** 2
-    return _conditional_entropy_sums(*_sums(st.a, st.b, st.c, st.d, oo), basis.theta)
+    # one angle per state; an array of angles broadcasts against the batch
+    theta = np.broadcast_arrays(basis.theta, st.a)[0]
+    return _conditional_entropy_sums(*_sums(st.a, st.b, st.c, st.d, oo), theta)
 
 
 def discord_oracle(x: XState, side: str = "B", grid: int = 64) -> OracleResult:

@@ -258,6 +258,31 @@ class TestFano:
         with pytest.raises(InfeasibleState):
             xs.from_fano(xs.FanoParams(A3=0.0, B3=0.0, C1=2.0, C2=0.0, C3=0.0))
 
+    @pytest.mark.parametrize("n", [1, 3, 100])
+    def test_batch_equals_each_element_bit_for_bit(self, n):
+        batch = xs.random_xstates(1, 0, n, complex_phases=True)
+        f = xs.to_fano(batch)
+        got = xs.from_fano(f)
+        singles = [xs.from_fano(xs.FanoParams(*(v[i] for v in f))) for i in range(n)]
+        for k in "abcdzw":
+            want = np.array([getattr(y, k) for y in singles], dtype=getattr(got, k).dtype)
+            assert getattr(got, k).shape == (n,)
+            assert getattr(got, k).tobytes() == want.tobytes(), k
+            # the round trip, within the rounding of the two linear maps
+            assert np.abs(getattr(got, k) - getattr(batch, k)).max() <= 1e-15, k
+
+    def test_batch_names_its_infeasible_element(self):
+        f = xs.to_fano(xs.random_xstates(1, 0, 5))
+        c1 = f.C1.copy()
+        c1[3] = 2.0
+        with pytest.raises(InfeasibleState) as batch_err:
+            xs.from_fano(f._replace(C1=c1))
+        assert batch_err.value.index == 3
+        with pytest.raises(InfeasibleState) as single_err:
+            xs.from_fano(xs.FanoParams(*(v[3] for v in f._replace(C1=c1))))
+        assert single_err.value.index is None
+        assert str(batch_err.value) == str(single_err.value)
+
 
 class TestConstructors:
     def test_bell_parameters(self):

@@ -477,16 +477,20 @@ class TestExpm:
             xs.propagate(damping_spec(), rho, float("nan"), 1)
 
     def test_taylor_terms_stop_below_unit_roundoff(self):
-        # with ||a||_1 = 1 the bound 1/k! first drops below 2^-53 at k = 19
-        a = np.array([[0.5, -0.25], [0.5, 0.75]])
-        v = np.array([1.0, -2.0])
-        terms = dynamics._taylor_terms(a, v, 1.0)
-        assert terms.shape == (19, 2)
+        # a column-stochastic matrix: ||a||_1 = 1 and a^k keeps an eigenvalue
+        # of modulus 1, so no term of the series is small before 1/k! is; that
+        # bound first drops below 2^-53 at k = 19, and a series cut at 17 terms
+        # is off by 1e-15
+        mpmath = pytest.importorskip("mpmath")
+        stochastic = np.array([[0.25, 0.5, 0.0], [0.375, 0.25, 0.5], [0.375, 0.25, 0.5]])
         assert 1.0 / math.factorial(18) >= 2.0**-53 > 1.0 / math.factorial(19)
-        for k, term in enumerate(terms):
-            exact = np.linalg.matrix_power(a, k) @ v / math.factorial(k)
-            assert np.abs(term - exact).max() <= 1e-15 * np.abs(exact).max()
-        assert dynamics._taylor_terms(a, np.eye(2), 0.0).shape == (1, 2, 2)
+        for a in (stochastic, -stochastic):
+            assert np.abs(a).sum(axis=0).max() == dynamics.TAYLOR_SPAN
+            with mpmath.workdps(60):
+                ref = mpmath.expm(mpmath.matrix(a.tolist()))
+                expected = np.array(ref.tolist(), dtype=float)
+            err = np.linalg.norm(dynamics._expm(a) - expected) / np.linalg.norm(expected)
+            assert err <= 4e-16
 
     def test_runtime_imports_no_scipy(self):
         code = ("import sys, xstates; "
@@ -834,35 +838,49 @@ def golden_trajectory(tmp_path, name: str) -> xs.Trajectory:
 # (eps, gamma_a, gamma_b, j, dt, sample_every, esd_time). The values were
 # first made by bisection with a fresh expm(G tau) at each midpoint, and all
 # 24 were re-recorded when samples came by doubling and the crossing by
-# safeguarded Newton on the Taylor action: they moved by at most 1.04e-12
-# relative, within the search's resolution of 1e-12 * t. With that
-# resolution at 1e-9 * t, 7 of them change
+# safeguarded Newton on a cached piecewise Taylor action: they moved by at
+# most 1.04e-12 relative, within the search's resolution of 1e-12 * t. They
+# were re-recorded again when each Newton point became _expm(G tau) @ x:
+# 20 of 24 moved, by at most 2.6e-15 relative. With the resolution at
+# 1e-9 * t, 7 of them change
 FROZEN_ESD = [
-    (0.5, 0.6, 0.5, 0.0, 0.001, 10, 0.36984660211351905),
-    (0.52, 0.7, 0.65, 0.0, 0.01, 3, 0.34060083629222426),
+    (0.5, 0.6, 0.5, 0.0, 0.001, 10, 0.3698466021135192),
+    (0.52, 0.7, 0.65, 0.0, 0.01, 3, 0.3406008362922244),
     (0.54, 0.8, 0.8, 0.0, 0.005, 7, 0.3219775158528675),
-    (0.56, 0.9, 0.95, 0.0, 0.001, 10, 0.3095854550282586),
-    (0.58, 1.0, 1.1, 0.0, 0.01, 3, 0.30121902220261865),
+    (0.56, 0.9, 0.95, 0.0, 0.001, 10, 0.30958545502825885),
+    (0.58, 1.0, 1.1, 0.0, 0.01, 3, 0.30121902220261854),
     (0.6, 0.6, 1.25, 0.0, 0.005, 7, 0.4046135143848842),
-    (0.62, 0.7, 1.4, 0.0, 0.001, 10, 0.3875868195033614),
-    (0.64, 0.8, 0.5, 0.0, 0.01, 3, 0.6560530277484689),
-    (0.66, 0.9, 0.65, 0.0, 0.005, 7, 0.5861815962004939),
-    (0.6799999999999999, 1.0, 0.8, 0.0, 0.001, 10, 0.5409115338341083),
-    (0.7, 0.6, 0.95, 0.0, 0.01, 3, 0.6988012706306195),
-    (0.72, 0.7, 1.1, 0.0, 0.005, 7, 0.6487270316967035),
-    (0.74, 0.8, 1.25, 0.25, 0.001, 10, 0.6042383851879295),
+    (0.62, 0.7, 1.4, 0.0, 0.001, 10, 0.3875868195033615),
+    (0.64, 0.8, 0.5, 0.0, 0.01, 3, 0.6560530277484696),
+    (0.66, 0.9, 0.65, 0.0, 0.005, 7, 0.586181596200494),
+    (0.6799999999999999, 1.0, 0.8, 0.0, 0.001, 10, 0.5409115338341081),
+    (0.7, 0.6, 0.95, 0.0, 0.01, 3, 0.6988012706306193),
+    (0.72, 0.7, 1.1, 0.0, 0.005, 7, 0.6487270316967032),
+    (0.74, 0.8, 1.25, 0.25, 0.001, 10, 0.6042383851879296),
     (0.76, 0.9, 1.4, 0.5, 0.01, 3, 0.5612486294624278),
-    (0.78, 1.0, 0.5, 0.75, 0.005, 7, 0.8157339029165143),
-    (0.8, 0.6, 0.65, 1.0, 0.001, 10, 1.2030857838924736),
-    (0.8200000000000001, 0.7, 0.8, 1.25, 0.01, 3, 1.080323504680412),
-    (0.8400000000000001, 0.8, 0.95, 1.5, 0.005, 7, 0.9995580134600954),
-    (0.86, 0.9, 1.1, 1.75, 0.001, 10, 0.9467928636435666),
-    (0.88, 1.0, 1.25, 2.0, 0.01, 3, 0.9145941910396639),
+    (0.78, 1.0, 0.5, 0.75, 0.005, 7, 0.8157339029165142),
+    (0.8, 0.6, 0.65, 1.0, 0.001, 10, 1.203085783892474),
+    (0.8200000000000001, 0.7, 0.8, 1.25, 0.01, 3, 1.0803235046804127),
+    (0.8400000000000001, 0.8, 0.95, 1.5, 0.005, 7, 0.9995580134600971),
+    (0.86, 0.9, 1.1, 1.75, 0.001, 10, 0.9467928636435653),
+    (0.88, 1.0, 1.25, 2.0, 0.01, 3, 0.9145941910396634),
     (0.9, 0.6, 1.4, 2.25, 0.005, 7, 1.0517453810616524),
-    (0.9199999999999999, 0.7, 0.5, 2.5, 0.001, 10, 2.067676466852132),
-    (0.94, 0.8, 0.65, 2.75, 0.01, 3, 1.9165444034145485),
-    (0.96, 0.9, 0.8, 3.0, 0.005, 7, 1.8798447885976377),
+    (0.9199999999999999, 0.7, 0.5, 2.5, 0.001, 10, 2.0676764668521352),
+    (0.94, 0.8, 0.65, 2.75, 0.01, 3, 1.9165444034145482),
+    (0.96, 0.9, 0.8, 3.0, 0.005, 7, 1.8798447885976426),
 ]
+
+
+# two more brackets, (rates, Hamiltonian, dt, sample_every, the range of
+# ||G||_1 * bracket), each from a Werner state at eps = 0.95: under unit
+# damping the span is 0.8, so _expm sums every Newton point's series
+# unscaled; under strong damping and a strong Hamiltonian it is about 122,
+# so _expm halves and squares
+ESD_BRACKETS = {
+    "UNIT_DAMPING": ((1.0, 1.0), None, 1e-2, 10, (0.5, dynamics.TAYLOR_SPAN)),
+    "STRONG_HAMILTONIAN": (
+        (2.0, 3.0), {"ZZ": 40.0, "XX": 30.0, "YY": 30.0}, 0.1, 5, (50.0, math.inf)),
+}
 
 
 class TestEsd:
@@ -892,59 +910,30 @@ class TestEsd:
         t2 = xs.esd_time(traj_half)
         assert abs(t1 - t2) < 1e-4
 
-    @pytest.mark.parametrize("rates, hamiltonian, dt, every, min_span", [
-        # unit-rate damping sampled every 0.1: ||G||_1 * bracket is 0.8, so
-        # one Taylor sum spans the whole bracket
-        ((1.0, 1.0), None, 1e-2, 10, 0.5),
-        # strong damping and a strong Hamiltonian: ||G||_1 * bracket is about
-        # 120, so the bracket is cut into pieces
-        ((2.0, 3.0), {"ZZ": 40.0, "XX": 30.0, "YY": 30.0}, 0.1, 5, 50.0),
-    ])
-    def test_taylor_action_matches_expm_at_midpoints(
-        self, monkeypatch, rates, hamiltonian, dt, every, min_span
-    ):
-        ham = None
-        if hamiltonian:
-            ham = sum(c * pauli_string_matrix(p) for p, c in hamiltonian.items())
-        spec = xs.LindbladSpec(damping_spec().operators, np.diag(rates).astype(complex), ham)
-        traj = xs.evolve(spec, xs.werner(0.95), dt=dt, t_max=3.0, sample_every=every)
-        built = []
-        action = dynamics._expm_action
-
-        def recording(generator, x, width):
-            evaluate = action(generator, x, width)
-            built.append((generator, x, width, evaluate))
-            return evaluate
-
-        monkeypatch.setattr(dynamics, "_expm_action", recording)
-        assert xs.esd_time(traj) is not None
-        (generator, x, width, evaluate), = built
-        norm = np.abs(generator).sum(axis=0).max()
-        assert norm * width > min_span
-        # at least two points in every piece, both ends of the bracket included
-        pieces = max(1, math.ceil(norm * width / dynamics.TAYLOR_SPAN))
-        taus = np.linspace(0.0, width, max(32, 2 * pieces + 1))
-        step = width / pieces
-        assert {min(int(tau / step), pieces - 1) for tau in taus} == set(range(pieces))
-        from scipy.linalg import expm  # test-only reference
-
-        for tau in taus:
-            exact = expm(generator * tau) @ x
-            assert np.linalg.norm(evaluate(tau) - exact) <= 1e-14 * np.linalg.norm(exact)
-
-    @pytest.mark.parametrize("case", list(range(len(FROZEN_ESD))) + ["ROTATED_DEPHASING"])
+    @pytest.mark.parametrize(
+        "case", list(range(len(FROZEN_ESD))) + ["ROTATED_DEPHASING", *ESD_BRACKETS])
     def test_matches_an_independent_root(self, tmp_path, case):
         from scipy.linalg import expm  # test-only reference
         from scipy.optimize import brentq
 
         if case == "ROTATED_DEPHASING":
             traj = golden_trajectory(tmp_path, case)
+        elif case in ESD_BRACKETS:
+            rates, hamiltonian, dt, every, spans = ESD_BRACKETS[case]
+            ham = None
+            if hamiltonian:
+                ham = sum(c * pauli_string_matrix(p) for p, c in hamiltonian.items())
+            spec = xs.LindbladSpec(damping_spec().operators, np.diag(rates).astype(complex), ham)
+            traj = xs.evolve(spec, xs.werner(0.95), dt=dt, t_max=3.0, sample_every=every)
         else:
             traj = frozen_esd_trajectory(*FROZEN_ESD[case][:-1])
         got = xs.esd_time(traj)
         dead = traj.measures["concurrence"] <= dynamics.ESD_TOL
         hit = next(i for i in range(len(dead)) if dead[i : i + 1 + dynamics.ESD_CONFIRM].all())
         lo_t, hi_t = traj.times[hit - 1], traj.times[hit]
+        if case in ESD_BRACKETS:
+            span = np.abs(traj.generator).sum(axis=0).max() * (hi_t - lo_t)
+            assert spans[0] < span <= spans[1]
         s = traj.states[hit - 1]
         x = np.array([s.a, s.b, s.c, s.d, s.z.real, s.z.imag, s.w.real, s.w.imag])
 
@@ -962,7 +951,7 @@ class TestEsd:
         never = xs.evolve(xs.LindbladSpec.from_rates([pauli_string_matrix("ZI")], [1.0]),
                           xs.bell(0), dt=1e-3, t_max=1.0, sample_every=100)
         dies = frozen_esd_trajectory(*FROZEN_ESD[0][:-1])
-        for traj, expected in ((never, None), (dies, FROZEN_ESD[0][-1])):
+        for traj, expected in ((never, None), (dies, xs.esd_time(dies))):
             conc = traj.measures["concurrence"].copy()
             assert (conc[1:6] > 0.0).all()
             conc[2:5] = 0.0
@@ -971,7 +960,7 @@ class TestEsd:
 
     def test_damped_werner_matches_frozen_values(self):
         # esd_time on damped Werner states without and with an X-shaped
-        # Hamiltonian j (XX + YY) + ZZ / 2: the samples and the Newton points
-        # on the Taylor action must reach the same bits
+        # Hamiltonian j (XX + YY) + ZZ / 2: the samples and the Newton points,
+        # each an _expm(G tau) @ x, must reach the same bits
         for *config, expected in FROZEN_ESD:
             assert xs.esd_time(frozen_esd_trajectory(*config)) == expected, config

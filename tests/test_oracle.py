@@ -196,6 +196,22 @@ class TestInPlaceKernel:
                 assert type(got) is type(want) and got.tobytes() == want.tobytes()
 
 
+class TestConditionalEntropyBatch:
+    """A batch measured in one basis gives one value per state, the bits of
+    each state's own call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 257])
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("complex_phases", [False, True])
+    def test_batch_equals_each_state(self, n, side, complex_phases):
+        batch = xs.random_xstates(1, 0, n, complex_phases)
+        for basis in (MeasurementBasis(0.3, 0.0), MeasurementBasis(1.1, 2.5)):
+            got = xs.conditional_entropy(batch, basis, side)
+            want = np.array([xs.conditional_entropy(x, basis, side) for x in xs.unstack(batch)])
+            assert got.shape == (n,)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestDiscordOracle:
     def test_classical_product_state(self):
         assert xs.discord_oracle(xs.validate(1, 0, 0, 0)).q_min == pytest.approx(
