@@ -3,23 +3,27 @@ second copy of the package.
 
     python3 benchmarks/stages.py --workload corpus --repeats 40
     python3 benchmarks/stages.py --workload dynamics --repeats 40 --baseline /path/to/other/src
+    python3 benchmarks/stages.py --workload campaign --n 256 --repeats 40
 
 ``--repeats`` must be at least 2, since the quartiles need two values.
 
-``--workload campaign`` runs ``approx_error_campaign(10000, seed=1,
-grid=64)``, the ``validate-approx --n 10000`` campaign, once per repeat, in
-ms per 1000 states. The stages are:
+``--workload campaign`` runs ``approx_error_campaign(n, seed=1, grid=64)``,
+the ``validate-approx --n`` campaign, once per repeat, in ms per 1000
+states. ``--n`` sets the states, 10000 by default; 256 is the call of the
+``campaign`` benchmark workload. The stages are:
 
 * ``sampling``: ``random_xstates``;
-* ``scan``: the first conditional-entropy evaluation of each minimisation,
-  the scan of every state over the grid;
+* ``scan``: the conditional-entropy evaluations on the grid's cached
+  angles, the scan of every state (in blocks, since ``SCAN_BLOCK``);
 * ``keeps_endpoint``: the endpoint test that decides which states are
   rescanned;
-* ``rescans``: the later evaluations, the rescans of those states;
+* ``rescans``: the evaluations on computed angles, the rescans of those
+  states;
 * ``state_entropies``: ``_state_entropies``, whose calls are counted under
   ``calls``;
-* ``approx_discord``: the time of ``approx_discord`` outside its state
-  entropies;
+* ``approx_discord``: the approximate discord from the oracle's entropies
+  (``_approx``; in a checkout from before they were shared,
+  ``approx_discord`` outside its state entropies);
 * ``oracle``: the time of ``discord_oracle`` outside its other stages: the
   minimisation's own glue and the correlations;
 * ``stats``: the time of ``approx_error_campaign`` outside its other
@@ -75,7 +79,8 @@ quartiles over the repeats, the sha256 of the output files (equal
 digests mean equal output bytes; a manifest's ``duration_s`` and the
 run's directory are blanked) and any call counts of one repeat;
 with a baseline, per stage the median over pairs of this checkout's time
-over the baseline's, and the number of pairs this checkout won; and the
+over the baseline's (null if the baseline's stage never took any time), and
+the number of pairs this checkout won; and the
 environment, numpy's SIMD targets and BLAS included (see ``environment``).
 The timings are the wall time of one single-threaded process.
 """
@@ -227,28 +232,22 @@ class Campaign(Timed):
     SCALE = 1e6 / N
     CONTAINERS = ("stats", "oracle", "approx_discord")
 
-    def __init__(self, pkg, work: str):
+    def __init__(self, pkg, work: str, n: int = N):
         super().__init__(pkg, work)
+        self.N, self.SCALE = n, 1e6 / n
         oracle, measures = pkg.oracle, pkg.measures
         self.campaign = self._timed(oracle.approx_error_campaign, "stats")
         self._wrap(oracle, "random_xstates", "sampling")
-        self._wrap(oracle, "approx_discord", "approx_discord")
+        self._wrap(oracle, "_approx" if hasattr(oracle, "_approx") else "approx_discord",
+                   "approx_discord")
         self._wrap(oracle, "_keeps_endpoint", "keeps_endpoint")
-        # a minimisation's first evaluation is its scan, the later ones rescans
-        first = [True]
-        discord_oracle = self._timed(oracle.discord_oracle, "oracle")
-
-        def fresh_minimisation(*args, **kwargs):
-            first[0] = True
-            return discord_oracle(*args, **kwargs)
-
-        oracle.discord_oracle = fresh_minimisation
+        self._wrap(oracle, "discord_oracle", "oracle")
         scan = self._timed(oracle._conditional_entropy_sums, "scan")
         rescan = self._timed(oracle._conditional_entropy_sums, "rescans")
 
         def scan_or_rescan(*args):
-            is_scan, first[0] = first[0], False
-            return (scan if is_scan else rescan)(*args)
+            # the scan's angles are the read-only cached grid, a rescan's are computed
+            return (rescan if args[-1].flags.writeable else scan)(*args)
 
         oracle._conditional_entropy_sums = scan_or_rescan
         # the oracle and approx_discord each call it through their own module
@@ -372,9 +371,18 @@ def main(argv=None) -> dict:
     parser.add_argument("--repeats", type=int, default=40)
     parser.add_argument("--baseline", type=Path, default=None,
                         help="source directory of a second xstates to interleave with")
+    parser.add_argument("--n", type=int, default=None,
+                        help=f"states of the campaign workload (default {Campaign.N})")
     args = parser.parse_args(argv)
     if args.repeats < 2:
         parser.error("--repeats must be at least 2")
+    options = {}
+    if args.n is not None:
+        if args.workload != "campaign":
+            parser.error("--n applies only to --workload campaign")
+        if args.n < 1:
+            parser.error("--n must be at least 1")
+        options["n"] = args.n
     workload = WORKLOADS[args.workload]
     sources = {"this": Path(__file__).resolve().parent.parent / "src"}
     if args.baseline is not None:
@@ -386,7 +394,8 @@ def main(argv=None) -> dict:
         routes = {}
         for name, src in sources.items():
             os.mkdir(os.path.join(work, name))
-            routes[name] = workload(import_package(src), os.path.join(work, name))
+            routes[name] = workload(import_package(src), os.path.join(work, name), **options)
+        scale = routes["this"].SCALE
         for r in range(WARMUP + args.repeats):
             for name in (order if r % 2 == 0 else order[::-1]):
                 times, outputs = routes[name].run_once()
@@ -394,7 +403,7 @@ def main(argv=None) -> dict:
                                         for key, raw in outputs.items()))
                 if r >= WARMUP:
                     for stage, t in zip(workload.STAGES, times):
-                        samples[name][stage].append(t * workload.SCALE)
+                        samples[name][stage].append(t * scale)
     runs = {}
     for name, src in sources.items():
         if len(digests[name]) != 1:
@@ -409,7 +418,7 @@ def main(argv=None) -> dict:
         }
         if getattr(routes[name], "calls", None):
             runs[name]["calls"] = dict(routes[name].calls)
-    result = {"workload": args.workload, "unit": workload.UNIT, "n": workload.N,
+    result = {"workload": args.workload, "unit": workload.UNIT, "n": routes["this"].N,
               "seed": workload.SEED, "repeats": args.repeats, "runs": runs}
     if "baseline" in sources:
         paired = {}
@@ -418,8 +427,9 @@ def main(argv=None) -> dict:
                 this, base = ([sum(c) for c in zip(*samples[k].values())] for k in sources)
             else:
                 this, base = samples["this"][stage], samples["baseline"][stage]
-            ratios = [t / b for t, b in zip(this, base)]
-            paired[stage] = {"ratio_median": statistics.median(ratios),
+            # a stage may take no time at all, such as the rescans of a call without any
+            ratios = [t / b for t, b in zip(this, base) if b > 0]
+            paired[stage] = {"ratio_median": statistics.median(ratios) if ratios else None,
                              "wins": sum(t < b for t, b in zip(this, base))}
         result["paired"] = paired
         result["same_bytes"] = runs["this"]["digests"] == runs["baseline"]["digests"]

@@ -421,8 +421,8 @@ def trajectory_to_csv(traj) -> str:
     s = traj.samples
     columns = [traj.times, s.a, s.b, s.c, s.d, s.z.real, s.z.imag, s.w.real, s.w.imag]
     columns += [traj.measures[n] for n in names]
-    cells = [["%.17g" % v for v in col.tolist()] for col in columns]
-    return "\n".join([header] + [",".join(row) for row in zip(*cells)]) + "\n"
+    row = ",".join(["%.17g"] * len(columns))
+    return "\n".join([header] + [row % r for r in zip(*(c.tolist() for c in columns))]) + "\n"
 
 
 def save_trajectory(path: str, traj) -> None:

@@ -1,6 +1,7 @@
 """Validation, parameterizations, constructors, random sampling, and the
 dephasing average."""
 
+import logging
 import math
 
 import numpy as np
@@ -444,6 +445,116 @@ class TestRandomBatches:
     def test_campaign_sample_reproduces(self):
         # the maximum error of acceptance criterion 1's 10^4 states
         assert xs.approx_error_campaign(10_000, seed=1, grid=64).max_err == 7.588153671004294e-4
+
+
+def numpy_exponential(word: int):
+    """numpy's standard_exponential of a Philox buffer that starts with
+    ``word`` (then all-ones words), and how many words it took."""
+    bits = np.random.Philox(0)
+    state = bits.state
+    state["buffer"], state["buffer_pos"] = (word,) + (2**64 - 1,) * 3, 0
+    bits.state = state
+    value = np.random.Generator(bits).standard_exponential()
+    after = bits.state
+    blocks = after["state"]["counter"][0] - state["state"]["counter"][0]
+    return value, after["buffer_pos"] + 4 * blocks
+
+
+def exponential_word(box: int, ri: int) -> int:
+    # the low three bits are not read
+    return (ri << 11) | (box << 3) | 5
+
+
+@pytest.fixture
+def fresh_ziggurat(monkeypatch):
+    """Forgets the cached ziggurat tables before and after the test (before
+    monkeypatch undoes its patches), so tables read under a patch do not
+    outlive it."""
+    core._ziggurat.cache_clear()
+    yield
+    core._ziggurat.cache_clear()
+
+
+class TestWholeArraySampling:
+    @pytest.mark.parametrize("seed, index", [(0, 0), (1, 2**40 + 3), (2**64 - 1, 2**64 - 1),
+                                             (123456789, 77)])
+    def test_words_equal_random_raw(self, seed, index):
+        words = core._philox_words(seed, index, 1)[:, 0]
+        raw = np.random.Philox(key=np.array([seed, index], np.uint64)).random_raw(8)
+        assert words.tobytes() == raw.tobytes()
+
+    def test_fast_path_brackets_every_threshold(self):
+        tables = core._ziggurat()
+        accept, margin = tables[1], core._ZIGGURAT_MARGIN
+        for box in range(2, 256):
+            edge = int(accept[box])
+            # just inside the margin, at its edge, and as far past the threshold
+            for ri, fast in ((edge - 1, True), (edge, False), (edge + 2 * margin, False)):
+                word = exponential_word(box, ri)
+                value, takes = core._exponentials(np.array([word], np.uint64), tables)
+                want, used = numpy_exponential(word)
+                assert bool(takes[0]) is fast, (box, ri)
+                if fast:
+                    assert (value[0], used) == (want, 1), (box, ri)
+                if ri > edge + margin:
+                    assert used > 1, (box, ri)  # numpy rejects it
+
+    def test_boxes_0_and_1_and_the_tail_fall_back(self):
+        top = 2**53 - 1
+        words = [exponential_word(0, 1), exponential_word(0, top), exponential_word(1, 0),
+                 exponential_word(1, 1), exponential_word(1, top)]
+        _, fast = core._exponentials(np.array(words, np.uint64), core._ziggurat())
+        assert not fast.any()
+        # box 0 past its threshold is the tail, which takes another word
+        assert numpy_exponential(exponential_word(0, top))[1] > 1
+
+    def test_corrupted_table_samples_per_index(self, fresh_ziggurat, monkeypatch, caplog):
+        # a margin far below zero accepts words numpy rejects
+        monkeypatch.setattr(core, "_ZIGGURAT_MARGIN", -2**52)
+        n = core.SAMPLING_CROSSOVER
+        with caplog.at_level(logging.WARNING, logger="xstates"):
+            batches = [xs.random_xstates(3, 0, n), xs.random_xstates(3, n, 2 * n)]
+        assert core._ziggurat() is None
+        assert [r.levelno for r in caplog.records if r.name == "xstates"] == [logging.WARNING]
+        fresh = [fresh_stream_state(3, i, False) for i in range(2 * n)]
+        for k in "abcdzw":
+            got = np.concatenate([getattr(b, k) for b in batches])
+            assert got.tobytes() == np.array([getattr(x, k) for x in fresh]).tobytes(), k
+
+    @pytest.mark.parametrize("complex_phases", [False, True])
+    @pytest.mark.parametrize("n", [0, core.SAMPLING_CROSSOVER - 1, core.SAMPLING_CROSSOVER])
+    def test_sizes_about_the_crossover(self, monkeypatch, n, complex_phases):
+        core._ziggurat()  # its first-use check computes words too
+        calls, words = [], core._philox_words
+        monkeypatch.setattr(core, "_philox_words",
+                            lambda *args: calls.append(args) or words(*args))
+        start = 2**64 - n  # the last indices
+        batch = xs.random_xstates(6, start, 2**64, complex_phases)
+        assert len(calls) == (n >= core.SAMPLING_CROSSOVER)
+        fresh = [fresh_stream_state(6, i, complex_phases) for i in range(start, 2**64)]
+        for k in "abcdzw":
+            got = getattr(batch, k)
+            assert got.shape == (n,)
+            assert got.tobytes() == np.array([getattr(x, k) for x in fresh], got.dtype).tobytes()
+
+    @pytest.mark.parametrize("start, stop, message", [
+        (-1, 0, r"index range \[-1, 0\) is outside \[0, 2\*\*64\)"),
+        (-1, core.SAMPLING_CROSSOVER, r"index range \[-1, \d+\) is outside"),
+        (2**64 - 1, 2**64 + 1, r"index range \[18446744073709551615, 18446744073709551617\) is"),
+        (2**64 - core.SAMPLING_CROSSOVER, 2**64 + 1, r"index range \[\d+, 18446744073709551617\)"),
+        (5, 3, r"index range \[5, 3\) has stop < start"),
+        (core.SAMPLING_CROSSOVER + 5, 3, r"index range \[\d+, 3\) has stop < start"),
+    ])
+    def test_index_outside_uint64_rejected(self, start, stop, message):
+        with pytest.raises(ValueError, match=message):
+            xs.random_xstates(1, start, stop)
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_single_index_outside_uint64_rejected(self, index):
+        with pytest.raises(ValueError, match=rf"{index}"):
+            xs.random_xstate(1, index)
+        with pytest.raises(ValueError, match=rf"index {index} is outside \[0, 2\*\*64\)"):
+            xs.random_pure(1, index)
 
 
 class TestDephasing:

@@ -1,6 +1,7 @@
 """The brute-force discord oracle: conditional entropies, minimization,
 and the approximation-error campaign."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xstates as xs
-from xstates import fileio, oracle
+from xstates import fileio, measures, oracle
 from xstates.oracle import CAMPAIGN_THRESHOLDS, MeasurementBasis
 from conftest import (
     brute_force_min_conditional_entropy,
@@ -170,6 +171,21 @@ class TestInPlaceKernel:
         sums = scan_sums(xs.random_xstates(17, 0, n))
         theta = np.random.default_rng(n).uniform(0.0, math.pi / 4, (n, oracle.REFINE_POINTS))
         self.assert_same_bits(*sums, theta)
+
+    @pytest.mark.parametrize("block", [1, 64 * 7, oracle.SCAN_BLOCK, 64 * 1000])
+    def test_scan_blocks_keep_the_bits(self, monkeypatch, block):
+        # 300 states: whole blocks, a short last one, and one block of all
+        states = xs.random_xstates(19, 0, 300)
+        want = xs.discord_oracle(states)
+        calls, kernel = [], oracle._conditional_entropy_sums
+        monkeypatch.setattr(oracle, "SCAN_BLOCK", block)
+        monkeypatch.setattr(oracle, "_conditional_entropy_sums",
+                            lambda *args: calls.append(args[0].shape[0]) or kernel(*args))
+        got = xs.discord_oracle(states)
+        rows = max(1, block // 64)
+        assert calls[:-(-300 // rows)] == [min(rows, 300 - i) for i in range(0, 300, rows)]
+        for name in ("q_min", "theta", "refined", "min_conditional_entropy"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_impossible_and_rare_outcomes(self):
         sums = scan_sums(RARE_OUTCOME_STATES)
@@ -468,10 +484,35 @@ class TestCampaign:
     def test_bytes_independent_of_chunk(self, monkeypatch):
         # the chunk only sets the batch size; 7 leaves a short last batch
         outputs = set()
-        for chunk in (1, 7, 100, 1000):
+        for chunk in (1, 7, 100, 500, 1000):
             monkeypatch.setattr(oracle, "CAMPAIGN_CHUNK", chunk)
             outputs.add(fileio.dumps(xs.approx_error_campaign(1000, seed=2).to_dict()))
         assert len(outputs) == 1
+
+    def test_one_entropy_pass_per_chunk(self, monkeypatch):
+        sizes, entropies = [], measures._state_entropies
+
+        def counted(x, side):
+            sizes.append(x.a.size)
+            return entropies(x, side)
+
+        for module in (oracle, measures):
+            monkeypatch.setattr(module, "_state_entropies", counted)
+        xs.approx_error_campaign(1256, seed=2)
+        assert sizes == [500, 500, 256]
+
+    def test_oracle_result_carries_its_entropies(self):
+        batch = xs.random_xstates(5, 0, 50, complex_phases=True)
+        for side in "AB":
+            res = xs.discord_oracle(batch, side=side)
+            want = measures._state_entropies(batch, side)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(res.entropies, want))
+            approx = measures._approx(res.entropies, side).q
+            assert approx.tobytes() == xs.approx_discord(batch, side).q.tobytes()
+        # the entropies take no part in equality or repr
+        one = xs.discord_oracle(xs.werner(0.5))
+        assert one == dataclasses.replace(one, entropies=None)
+        assert "entropies" not in repr(one)
 
     def test_thresholds_fixed(self):
         assert CAMPAIGN_THRESHOLDS == (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)

@@ -46,3 +46,23 @@ def test_environment_names_simd_blas_and_kernel_variables(monkeypatch):
     monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512F")
     env = stages.environment()
     assert (env["OPENBLAS_CORETYPE"], env["NPY_DISABLE_CPU_FEATURES"]) == ("Haswell", "AVX512F")
+
+
+def test_campaign_states_option(tmp_path):
+    # the campaign benchmark's 256-state call, paired with a second copy
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, str(STAGES), "--workload", "campaign", "--n", "256", "--repeats", "2",
+         "--baseline", str(src)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["n"], result["same_bytes"]) == (256, True)
+    stats = result["runs"]["this"]["stages"]
+    assert stats["sampling"]["median"] > 0 and stats["approx_discord"]["median"] > 0
+    proc = subprocess.run(
+        [sys.executable, str(STAGES), "--workload", "corpus", "--n", "256", "--repeats", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2 and "--n applies only to --workload campaign" in proc.stderr
