@@ -154,10 +154,10 @@ def _hypot(x, y):
     argument (np.maximum(-0.0, 0.0) is 0.0, ``max`` gives -0.0). ``log2``
     stays numpy's: ``math.log2`` differs from its SIMD kernel in the last
     bit on 0.2% of inputs. So one state's entropies take one ``np.log2``
-    call on the flat list of their table's entries (the float route of
-    ``spectral.entropy``, ``spectral._entropy_columns``); each column is
-    then summed in Python in the order of numpy's axis-0 reduction, from
-    its identity 0.0, zero entries kept.
+    call on the list of their table's 16 populated entries
+    (``measures._entropies``); each column is then summed in Python in the
+    order of numpy's axis-0 reduction, from its identity +0.0, without the
+    batch's zero pads, which move no bit of a sum started at +0.0.
     The products and sums are IEEE-exact and ``np.log2`` rounds an entry
     alike wherever it sits, so the bits are the batch's, signed zeros
     included. Squares are written ``x * x``: on a float ``x ** 2`` is libm's

@@ -49,13 +49,12 @@ def _emit(obj) -> str:
         return "%.17g" % obj
     if isinstance(obj, dict):
         return "{" + ", ".join([
-            _KEYS[k] + ("%.17g" % v if type(v) is float and v - v == 0.0 else _emit(v))
+            _KEYS[k] + ("%.17g" % v if type(v) is float and v - v == 0.0
+                        else _VALUES.get(type(v), _emit)(v))
             for k, v in obj.items()
         ]) + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join([
-            "%.17g" % v if type(v) is float and v - v == 0.0 else _emit(v) for v in obj
-        ]) + "]"
+        return _emit_list(obj)
     if isinstance(obj, str):
         # the bytes of json.dumps(obj), without building an encoder
         return encode_basestring_ascii(obj)
@@ -72,6 +71,19 @@ def _emit(obj) -> str:
             raise ValueError(f"cannot serialize the non-finite number {obj!r}")
         return format_float(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _emit_list(obj) -> str:
+    return "[" + ", ".join([
+        "%.17g" % v if type(v) is float and v - v == 0.0 else _VALUES.get(type(v), _emit)(v)
+        for v in obj
+    ]) + "]"
+
+
+# how a dict or list value of one of these exact types is written, looked up
+# before _emit's isinstance chain; bool, an int subclass, is not among them
+_VALUES = {type(None): lambda v: "null", str: encode_basestring_ascii, int: int.__repr__,
+           list: _emit_list}
 
 
 def dumps(obj) -> str:
@@ -243,13 +255,14 @@ def save_corpus(path: str, states) -> None:
 
 def load_corpus(path: str) -> list:
     """The states of a corpus file, one JSON state object per line, blank
-    lines skipped. Lines in the parameter form are parsed into columns and
-    validated as one batch; a line in the matrix form is taken as
-    :func:`load_state` takes it. The first bad line raises a ValueError
-    (for an invalid state, its :class:`~xstates.errors.ValidationError`)
-    whose message begins with its 1-based line number."""
-    columns = ([], [], [], [], [], [])
-    numbers = []  # the line number of each row of the columns
+    lines skipped. Lines in the parameter form are parsed into rows, which
+    are transposed once into columns and validated as one batch; a line in
+    the matrix form is taken as :func:`load_state` takes it. The first bad
+    line raises a ValueError (for an invalid state, its
+    :class:`~xstates.errors.ValidationError`) whose message begins with its
+    1-based line number."""
+    rows = []  # the parameters of each line in the parameter form
+    numbers = []  # the line number of each row
     matrix_states = {}  # position in the corpus -> state of a matrix line
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -261,27 +274,27 @@ def load_corpus(path: str) -> list:
                 if "matrix" in obj:
                     matrix_states[len(numbers) + len(matrix_states)] = state_from_obj(obj)
                     continue
-                for column, value in zip(columns, _state_params(obj)):
-                    column.append(value)
+                rows.append(_state_params(obj))
             except ValueError as exc:
-                _validate_rows(columns, numbers)  # an earlier invalid state goes first
+                _validate_rows(rows, numbers)  # an earlier invalid state goes first
                 exc.args = (f"corpus line {number}: {exc}",)
                 raise
             except (TypeError, OverflowError, RecursionError) as exc:
-                _validate_rows(columns, numbers)
+                _validate_rows(rows, numbers)
                 raise ValueError(f"corpus line {number}: malformed state: {exc}") from exc
             numbers.append(number)
-    states = unstack(_validate_rows(columns, numbers))
+    states = unstack(_validate_rows(rows, numbers))
     for position, x in matrix_states.items():  # in increasing position
         states.insert(position, x)
     return states
 
 
-def _validate_rows(columns: tuple, numbers: list) -> XState:
-    """The batch of the rows of ``columns``; an invalid row's error is
-    prefixed with its corpus line from ``numbers``."""
+def _validate_rows(rows: list, numbers: list) -> XState:
+    """The batch of the parameter tuples ``rows``, transposed into columns;
+    an invalid row's error is prefixed with its corpus line from
+    ``numbers``."""
     try:
-        return validate(*map(np.array, columns))
+        return validate(*map(np.array, zip(*rows) if rows else ((),) * 6))
     except ValidationError as exc:
         exc.args = (f"corpus line {numbers[exc.index]}: {exc}",)
         raise

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import FanoParams, XState, _max, _min, _sqrt, _where, to_fano
 from .errors import NotMMM, UnnormalizedPhases
-from .spectral import _block_spectrum, _entropy_columns, entropy
+from .spectral import _block_spectrum, entropy
 
 SCHMIDT_THRESHOLD = 1e-10
 MMM_TOL = 1e-10
@@ -153,22 +154,38 @@ class _Entropies(NamedTuple):
 def _entropies(m: XState, f: FanoParams, side: str) -> _Entropies:
     """Every entropy the discord family needs, of the state ``m`` from
     :func:`_moduli` with Fano coordinates ``f`` and ``side`` measured, from
-    one -p log2 p pass over the zero-padded distributions (one per column)."""
+    one -p log2 p pass over the distributions (one per column).
+
+    A batch pads the columns to four rows with zeros and takes
+    :func:`~xstates.spectral.entropy`. One state (Python floats) takes its
+    16 populated entries through one ``np.log2`` call and sums each column
+    in Python in the order of numpy's axis-0 reduction, from its identity
+    +0.0. The pads are left out: a sum started at +0.0 is never -0.0, so
+    adding +0.0 or -0.0 to it moves no bit. Products and sums are
+    IEEE-exact and ``np.log2`` rounds an entry alike in a list or an array,
+    so the bits are the batch's, signed zeros included."""
     bc = m.b - m.c if side == "B" else m.c - m.b
     u, v = m.a - m.d + bc, m.abs_z + m.abs_w
     root = _min(_sqrt(u * u + 4.0 * (v * v)), 1.0)
     c = _max(_max(abs(f.C1), abs(f.C2)), abs(f.C3))
-    pa, pb, zero = m.a + m.b, m.a + m.c, 0.0 * m.a
+    pa, pb = m.a + m.b, m.a + m.c
     l0, l1, l2, l3 = _block_spectrum(m.a, m.b, m.c, m.d, m.abs_z, m.abs_w)
-    rows = [
-        # rho  diag  rho_A     rho_B     N1                MMM
-        (l0,   m.a,  pa,       pb,       0.5 + 0.5 * root, 0.5 * (1.0 + c)),
-        (l1,   m.b,  1.0 - pa, 1.0 - pb, 0.5 - 0.5 * root, 0.5 * (1.0 - c)),
-        (l2,   m.c,  zero,     zero,     zero,             zero),
-        (l3,   m.d,  zero,     zero,     zero,             zero),
-    ]
+    # rho: l0..l3; diag: a..d; rho_A, rho_B, N1 and MMM: two entries each
+    p = (l0, l1, l2, l3, m.a, m.b, m.c, m.d, pa, 1.0 - pa, pb, 1.0 - pb,
+         0.5 + 0.5 * root, 0.5 - 0.5 * root, 0.5 * (1.0 + c), 0.5 * (1.0 - c))
     if type(l0) is float:
-        return _Entropies(*_entropy_columns(rows))
+        r0, r1, r2, r3, d0, d1, d2, d3, a0, a1, b0, b1, n0, n1, c0, c1 = map(
+            mul, p, np.log2([x if x > 0.0 else 1.0 for x in p]).tolist())
+        return _Entropies(-((((0.0 + r0) + r1) + r2) + r3), -((((0.0 + d0) + d1) + d2) + d3),
+                          -((0.0 + a0) + a1), -((0.0 + b0) + b1),
+                          -((0.0 + n0) + n1), -((0.0 + c0) + c1))
+    zero = 0.0 * m.a
+    rows = [
+        p[0:8:4] + p[8::2],  # rho, diag, rho_A, rho_B, N1, MMM
+        p[1:8:4] + p[9::2],
+        (l2, m.c, zero, zero, zero, zero),
+        (l3, m.d, zero, zero, zero, zero),
+    ]
     return _Entropies(*entropy(np.array(rows)))
 
 

@@ -272,11 +272,12 @@ def discord_oracle(x: XState, side: str = "B", grid: int = 64) -> OracleResult:
 
 
 CAMPAIGN_THRESHOLDS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-# states per batch; it must divide the progress interval, 1000. 500 is the
-# least such size that takes a 256-state call in one batch. In paired timings
-# of approx_error_campaign(10000) on a 2-CPU x86-64 host, relative to 100,
-# 250 took 0.72x, 500 0.59x and 1000 0.51x (medians of 20 pairs each)
-CAMPAIGN_CHUNK = 500
+# states per batch; it must divide the progress interval, 1000, and 1000 is
+# the largest such size. A 256-state call is one batch. In paired timings of
+# approx_error_campaign(10000) on a shared 2-CPU x86-64 host, relative to
+# 100, 250 took 0.64-0.67x, 500 0.51x and 1000 0.45-0.46x (medians of 20
+# alternating repeats of each size, two runs)
+CAMPAIGN_CHUNK = 1000
 
 
 @dataclass(frozen=True)

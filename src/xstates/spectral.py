@@ -5,7 +5,6 @@ or a batch (an :class:`XState` with array fields)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -57,27 +56,12 @@ def entropy(p) -> np.ndarray:
     probabilities along axis 0 of ``p``; of :func:`eigenvalues` it is the
     von Neumann entropy. Entries <= 0 contribute nothing.
 
-    One state's distributions side by side take the float route,
-    :func:`_entropy_columns`, with these bits: one ``np.log2`` call on the
-    flat list of every entry, then each column summed in Python in the
-    order of numpy's axis-0 reduction, from its identity 0.0, zero entries
-    kept (so a column of negative zeros sums to 0.0 as here). Products and
-    sums are IEEE-exact, and ``np.log2`` rounds each entry alike in a list
-    or an array, so the bits equal those of this array route."""
+    One state's entropies take a float route with the bits of this one
+    (``measures._entropies``): one ``np.log2`` call on the list of their
+    populated entries, each column then summed in Python in the order of
+    numpy's axis-0 reduction, from its identity +0.0."""
     p = np.asarray(p, dtype=float)
     return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=0)
-
-
-def _entropy_columns(rows: list) -> list:
-    """:func:`entropy` of four equal-length rows of Python floats (an X
-    state's distributions have at most four entries), as a list of Python
-    floats, one per column: ``-((((0.0 + r0) + r1) + r2) + r3)`` over the
-    products r = p log2 p."""
-    flat = [v for row in rows for v in row]
-    t = list(map(mul, flat, np.log2([v if v > 0.0 else 1.0 for v in flat]).tolist()))
-    k = len(rows[0])
-    return [-((((0.0 + r0) + r1) + r2) + r3)
-            for r0, r1, r2, r3 in zip(t[:k], t[k:2 * k], t[2 * k:3 * k], t[3 * k:])]
 
 
 def purity(x: XState):

@@ -71,6 +71,56 @@ values = st.recursive(
 )
 
 
+class Count(int):
+    """An int subclass whose str and repr are not its digits."""
+
+    def __repr__(self) -> str:
+        return "Count"
+
+    __str__ = __repr__
+
+
+class Label(str):
+    """A str subclass whose str and repr are not its text."""
+
+    def __repr__(self) -> str:
+        return "Label"
+
+    __str__ = __repr__
+
+
+def outcome(emit, obj):
+    """The text ``emit`` makes of ``obj``, or the type and message of its refusal."""
+    try:
+        return emit(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# values of the exact types dumps looks up in its table (None, str, int,
+# list) beside the subclasses and numpy scalars it must leave to its chain
+mixed_leaves = st.one_of(
+    st.none(),
+    st.text(max_size=4),
+    st.integers(),
+    st.booleans(),
+    st.integers().map(Count),
+    st.text(max_size=4).map(Label),
+    int64.map(np.int64),
+    finite,
+)
+mixed = st.recursive(
+    mixed_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(int64, max_size=3).map(lambda v: np.array(v, dtype=np.int64)),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
 def float_pairs(obj, parsed):
     """(emitted float, parsed token) for every float in ``obj``. ``parsed``
     comes from :func:`parse`: integer tokens stay text, since a float such
@@ -116,6 +166,26 @@ class TestDumps:
                    "array": [obj, np.array([0.5, bad])]}[container]
         with pytest.raises(ValueError, match="non-finite"):
             fileio.dumps(wrapped)
+
+    @DUMPS_PROPERTY
+    @given(st.dictionaries(st.text(max_size=3), mixed, max_size=5) | st.lists(mixed, max_size=5))
+    def test_dispatch_table_leaves_subclasses_to_the_chain(self, obj):
+        assert fileio.dumps(obj) == reference_emit(obj)
+
+    def test_bool_is_not_an_int_in_the_table(self):
+        obj = {"t": True, "f": False, "n": None, "i": 3, "c": Count(7), "s": "x",
+               "l": Label("y"), "np": np.int64(-2),
+               "nest": [True, (False, Count(1)), np.array([1, 2]), [None, [Label("z"), 5]]]}
+        text = fileio.dumps(obj)
+        assert text == reference_emit(obj)
+        assert text == ('{"t": true, "f": false, "n": null, "i": 3, "c": 7, "s": "x", "l": "y", '
+                        '"np": -2, "nest": [true, [false, 1], [1, 2], [null, ["z", 5]]]}')
+        # np.bool_ is neither an int nor a bool to either serializer
+        for bad in (np.bool_(True), [1, np.bool_(False)], {"b": np.bool_(True)},
+                    {"n": [None, (np.bool_(True),)]}):
+            refused = outcome(fileio.dumps, bad)
+            assert refused == outcome(reference_emit, bad)
+            assert refused[0] is TypeError
 
     def test_report_and_state_dicts(self):
         x = xs.random_xstate(4, 2, complex_phases=True)

@@ -173,6 +173,28 @@ class TestCorpusErrors:
         with pytest.raises(xs.errors.NegativePopulation, match=r"^corpus line 2: population a"):
             fileio.load_corpus(path)
 
+    @pytest.mark.parametrize("invalid, error", [
+        ('{"a": -0.1, "b": 0.5, "c": 0.4, "d": 0.2}', xs.errors.NegativePopulation),
+        ('{"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}', xs.errors.TraceError),
+        ('{"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25, "w": {"re": 0.0, "im": 0.3}}',
+         xs.errors.CoherenceBoundViolated),
+    ])
+    @pytest.mark.parametrize("malformed", [
+        '{"a": 0.5, "b": 0.5,',  # not JSON
+        '{"a": 0.25, "b": 0.25, "c": 0.25}',  # a ValueError while parsing
+        '{"matrix": 5}',  # a TypeError while parsing
+        '{"a": 1' + "0" * 400 + ', "b": 0.0, "c": 0.0, "d": 0.0}',  # an OverflowError
+    ])
+    def test_invalid_line_3_is_named_before_malformed_line_5(self, tmp_path, invalid, error,
+                                                             malformed):
+        path = self.write(tmp_path, CORPUS[:2] + [invalid, CORPUS[2], malformed, CORPUS[3]])
+        with pytest.raises(error, match=r"^corpus line 3: "):
+            fileio.load_corpus(path)
+        # without the invalid line, line 5 is named
+        path = self.write(tmp_path, CORPUS[:2] + [CORPUS[0], CORPUS[2], malformed, CORPUS[3]])
+        with pytest.raises(ValueError, match=r"^corpus line 5: "):
+            fileio.load_corpus(path)
+
     def test_blank_lines_are_skipped_and_counted(self, tmp_path):
         lines = ["", CORPUS[0], "   ", "", CORPUS[1], "\t"]
         assert fileio.load_corpus(self.write(tmp_path, lines)) == fileio.load_corpus(

@@ -499,7 +499,7 @@ class TestCampaign:
         for module in (oracle, measures):
             monkeypatch.setattr(module, "_state_entropies", counted)
         xs.approx_error_campaign(1256, seed=2)
-        assert sizes == [500, 500, 256]
+        assert sizes == [1000, 256]
 
     def test_oracle_result_carries_its_entropies(self):
         batch = xs.random_xstates(5, 0, 50, complex_phases=True)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import xstates as xs
 from conftest import dense_entropy, dense_partial_transpose, random_states
-from xstates.spectral import _entropy_columns
+from xstates import measures
 
 
 def spectrum(x) -> np.ndarray:
@@ -79,8 +79,48 @@ class TestEigendecompose:
             assert np.abs(np.sort(lam)[::-1] - numeric).max() < 1e-10
 
 
-# probabilities, zeros of both signs, ones and rounding-sized negatives
-_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 0.5, -1e-17]) | st.floats(0.0, 1.0)
+# weights that land on 0, 1/2 and 1 as often as anywhere else
+_WEIGHTS = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+def _signed_zero(draw, v: float) -> float:
+    """``v``, or a zero of either sign if ``v`` is a zero."""
+    return math.copysign(0.0, draw(st.sampled_from([1.0, -1.0]))) if v == 0.0 else v
+
+
+def _turn(draw, r: float) -> complex:
+    """r e^{2 pi i t} for a drawn t, each zero part of either sign."""
+    t = 2.0 * math.pi * draw(_WEIGHTS)
+    return complex(_signed_zero(draw, r * math.cos(t)), _signed_zero(draw, r * math.sin(t)))
+
+
+@st.composite
+def entropy_states(draw):
+    """A general, pure or Bell-diagonal (maximally mixed marginals) state,
+    with zero populations, zero coherences and zeros of both signs drawn as
+    often as anything else."""
+    kind = draw(st.sampled_from(["general", "pure", "bell_diagonal"]))
+    if kind == "pure":
+        # sqrt(t) |00> + e^{i phi} sqrt(1 - t) |11>, or the same on |01>, |10>
+        t = draw(_WEIGHTS)
+        p, q, zero = _signed_zero(draw, t), _signed_zero(draw, 1.0 - t), _signed_zero(draw, 0.0)
+        coh = _turn(draw, math.sqrt(t * (1.0 - t)))
+        if draw(st.booleans()):
+            return xs.validate(p, zero, zero, q, w=coh)
+        return xs.validate(zero, p, q, zero, z=coh)
+    weights = [draw(_WEIGHTS) for _ in range(4)]
+    total = sum(weights)
+    l0, l1, l2, l3 = (w / total for w in weights) if total else (0.25,) * 4
+    if kind == "bell_diagonal":
+        # the Bell-state mixture l0 Phi+ + l1 Phi- + l2 Psi+ + l3 Psi-
+        a, b = 0.5 * (l0 + l1), 0.5 * (l2 + l3)
+        z = complex(_signed_zero(draw, 0.5 * (l2 - l3)), _signed_zero(draw, 0.0))
+        w = complex(_signed_zero(draw, 0.5 * (l0 - l1)), _signed_zero(draw, 0.0))
+        return xs.validate(a, b, b, a, z=z, w=w)
+    a, b, c, d = (_signed_zero(draw, v) for v in (l0, l1, l2, l3))
+    z = _turn(draw, draw(_WEIGHTS) * math.sqrt(b * c))
+    w = _turn(draw, draw(_WEIGHTS) * math.sqrt(a * d))
+    return xs.validate(a, b, c, d, z=z, w=w)
 
 
 class TestEntropyPurity:
@@ -106,15 +146,15 @@ class TestEntropyPurity:
             )
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.integers(1, 6).flatmap(
-        lambda k: st.lists(st.tuples(*[_ENTRIES] * k), min_size=4, max_size=4)))
-    def test_float_route_has_the_array_bits(self, rows):
-        # four rows of Python floats, negative zeros and entries <= 0
-        # included, give the array route's bits; a column whose entries are
-        # all zeros sums to 0.0, whatever their signs
-        floats = _entropy_columns(rows)
-        assert type(floats) is list and all(type(v) is float for v in floats)
-        assert [v.hex() for v in floats] == [v.hex() for v in xs.entropy(np.array(rows)).tolist()]
+    @given(st.lists(entropy_states(), min_size=1, max_size=4), st.sampled_from("AB"))
+    def test_state_route_has_the_batch_bits(self, states, side):
+        # one state's entropies (Python floats, no zero pads) have the bits
+        # of its element of the batch, signed zeros included
+        batch = measures._state_entropies(xs.stack(states), side)
+        for i, x in enumerate(states):
+            one = measures._state_entropies(x, side)
+            assert all(type(v) is float for v in one)
+            assert [v.hex() for v in one] == [float(v[i]).hex() for v in batch]
 
     def test_purity_values(self):
         assert xs.purity(xs.bell(1)) == pytest.approx(1.0)
